@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import typing
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -34,7 +35,7 @@ from .linalg import (
     expi_tridiagonal_apply,
 )
 from .models import IsingParams, goe_sample, gue_sample, ising_operator, random_state
-from .propagator import krylov_evolve, true_infidelity
+from .propagator import krylov_evolve, project_profile, true_infidelity
 from .stateio import write_state
 from .stepper import evolve_adaptive
 from .toeplitz import toeplitz_echo
@@ -106,25 +107,20 @@ class ExperimentConfig:
                 )
 
 
-_INT_KEYS = {"n", "krylov_n", "n_prime", "points", "seed", "profile_m", "oracle_cap"}
-_FLOAT_KEYS = {"J", "h_x", "h_z", "alpha", "beta", "t_min", "t_max", "tol", "t_final"}
-_LIST_FLOAT_KEYS = {"times"}
-_LIST_STR_KEYS = {"estimators"}
-_BOOL_KEYS = {"band"}
-
-
 def _coerce(key: str, raw: str):
-    if key in _INT_KEYS:
-        return int(raw)
-    if key in _FLOAT_KEYS:
-        return float(raw)
-    if key in _BOOL_KEYS:
+    """Parse a raw string into the type ``ExperimentConfig`` declares for ``key``.
+
+    Tuples are comma-separated lists of their item type (string items are
+    stripped); booleans accept 1/true/yes/on, case-insensitively.
+    """
+    kind = typing.get_type_hints(ExperimentConfig)[key]
+    if kind is bool:
         return raw.strip().lower() in ("1", "true", "yes", "on")
-    if key in _LIST_FLOAT_KEYS:
-        return tuple(float(tok) for tok in raw.split(",") if tok.strip())
-    if key in _LIST_STR_KEYS:
-        return tuple(tok.strip() for tok in raw.split(",") if tok.strip())
-    return raw
+    if typing.get_origin(kind) is tuple:
+        item = typing.get_args(kind)[0]
+        parse = str.strip if item is str else item
+        return tuple(parse(tok) for tok in raw.split(",") if tok.strip())
+    return kind(raw)
 
 
 def load_config_file(path) -> dict:
@@ -278,7 +274,7 @@ def cmd_snapshots(cfg: ExperimentConfig) -> None:
     rows = []
     for t in cfg.times:
         exact = exact_evolve_dense(hamiltonian, psi, t, cap=cfg.oracle_cap)
-        pop_exact = np.abs(basis.vectors.conj() @ exact) ** 2
+        pop_exact = project_profile(basis, exact, t).site_populations
         coeffs = expi_tridiagonal_apply(reduced, t, basis_state(reduced.n))
         pop_krylov = np.zeros(basis.size)
         pop_krylov[: reduced.n] = np.abs(coeffs) ** 2
@@ -439,14 +435,12 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         cfg = replace(cfg, **load_config_file(args.config))
     overrides = {}
     for f in fields(ExperimentConfig):
-        if f.name == "command":
-            continue
         value = getattr(args, f.name, None)
+        if isinstance(value, str):
+            value = _coerce(f.name, value)
+        elif isinstance(value, list):
+            value = tuple(value)
         if value is not None:
-            if f.name == "times" and isinstance(value, str):
-                value = _coerce("times", value)
-            if f.name == "estimators":
-                value = tuple(value) if not isinstance(value, str) else _coerce("estimators", value)
             overrides[f.name] = value
     cfg = replace(cfg, **overrides)
     cfg.validate()

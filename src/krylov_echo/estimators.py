@@ -33,6 +33,7 @@ from .toeplitz import toeplitz_echo
 
 __all__ = [
     "AveragedCoefficients",
+    "BoundEstimator",
     "ESTIMATOR_NAMES",
     "ErrorEstimate",
     "averaged_coefficients",
@@ -81,12 +82,27 @@ class AveragedCoefficients:
     beta_bar: float
 
 
-def _clamp_unit(x: float) -> float:
-    return min(max(float(x), 0.0), 1.0)
+@dataclass(frozen=True)
+class BoundEstimator:
+    """``eps(t)`` of one estimator kind on one basis, and the basis a step advances in.
+
+    For ``extra_site_exact`` that is the one-site extension: already paid
+    for, and covered by the recorded truncation estimate.
+    """
+
+    evaluate: Callable[[float], float]
+    basis: KrylovBasis
+
+    def __call__(self, t: float) -> float:
+        return self.evaluate(t)
 
 
 def _chain_state(tri: SymmetricTridiagonal, t: float) -> np.ndarray:
     return expi_tridiagonal_apply(tri, t, basis_state(tri.n))
+
+
+def _clamp_unit(x: float) -> float:
+    return min(max(float(x), 0.0), 1.0)
 
 
 def echo_general(
@@ -106,6 +122,25 @@ def echo_general(
     return complex(np.vdot(state_a[:k], state_b[:k]))
 
 
+def _echo_infidelity(
+    truncated: SymmetricTridiagonal, reference: SymmetricTridiagonal, t: float
+) -> float:
+    """``1 - |echo|^2`` between a chain and its one-site-longer reference.
+
+    Derive one chain from the other through the cached ``prefix`` or
+    ``append_site``, so that a time sweep diagonalizes each chain once.
+    """
+    return _clamp_unit(1.0 - abs(echo_general(truncated, reference, t)) ** 2)
+
+
+def _coupling_history(basis: KrylovBasis) -> np.ndarray:
+    """Hoppings beta_1..beta_N, the last of which came free with the residual."""
+    betas = basis.tridiag.offdiag
+    if basis.residual_beta > 0.0:
+        betas = np.append(betas, basis.residual_beta)
+    return betas
+
+
 def averaged_coefficients(basis: KrylovBasis) -> AveragedCoefficients:
     """Arithmetic means of the recurrence coefficients.
 
@@ -113,12 +148,9 @@ def averaged_coefficients(basis: KrylovBasis) -> AveragedCoefficients:
     produced one: for a size-N basis that is exactly the set beta_1..beta_N,
     of which beta_N came for free with the final residual.
     """
-    alphas = basis.tridiag.diag
-    betas = basis.tridiag.offdiag
-    if basis.residual_beta > 0.0:
-        betas = np.append(betas, basis.residual_beta)
+    betas = _coupling_history(basis)
     beta_bar = float(betas.mean()) if betas.size else 0.0
-    return AveragedCoefficients(float(alphas.mean()), beta_bar)
+    return AveragedCoefficients(float(basis.tridiag.diag.mean()), beta_bar)
 
 
 def _require_history(basis: KrylovBasis) -> None:
@@ -138,8 +170,8 @@ def estimate_extra_site_exact(extended: KrylovBasis, t: float) -> ErrorEstimate:
         return ErrorEstimate(0.0, float(t), EXTRA_SITE_EXACT)
     _require_history(extended)
     full = extended.tridiag
-    echo = echo_general(full.prefix(full.n - 1), full, t)
-    return ErrorEstimate(_clamp_unit(1.0 - abs(echo) ** 2), float(t), EXTRA_SITE_EXACT)
+    value = _echo_infidelity(full.prefix(full.n - 1), full, t)
+    return ErrorEstimate(value, float(t), EXTRA_SITE_EXACT)
 
 
 def estimate_extra_site_averaged(
@@ -157,9 +189,9 @@ def estimate_extra_site_averaged(
         raise ValueError(f"unknown mode {mode!r}; expected 'literal' or 'hybrid'")
     avg = averaged_coefficients(basis)
     coupling = avg.beta_bar if mode == "literal" else basis.residual_beta
-    extended = basis.tridiag.append_site(avg.alpha_bar, coupling)
-    echo = echo_general(basis.tridiag, extended, t)
-    return ErrorEstimate(_clamp_unit(1.0 - abs(echo) ** 2), float(t), EXTRA_SITE_AVERAGED)
+    tri = basis.tridiag
+    value = _echo_infidelity(tri, tri.append_site(avg.alpha_bar, coupling), t)
+    return ErrorEstimate(value, float(t), EXTRA_SITE_AVERAGED)
 
 
 def estimate_toeplitz_analytic(basis: KrylovBasis, t: float) -> ErrorEstimate:
@@ -191,17 +223,15 @@ def extra_site_band(basis: KrylovBasis, t: float) -> tuple[float, float]:
     (min/max coupling) combinations and returns (low, high).
     """
     _require_history(basis)
-    alphas = basis.tridiag.diag
-    betas = basis.tridiag.offdiag
-    if basis.residual_beta > 0.0:
-        betas = np.append(betas, basis.residual_beta)
+    tri = basis.tridiag
+    alphas = tri.diag
+    betas = _coupling_history(basis)
     values = []
     for onsite, coupling in product(
         (float(alphas.min()), float(alphas.max())),
         (float(betas.min()), float(betas.max())),
     ):
-        echo = echo_general(basis.tridiag, basis.tridiag.append_site(onsite, coupling), t)
-        values.append(_clamp_unit(1.0 - abs(echo) ** 2))
+        values.append(_echo_infidelity(tri, tri.append_site(onsite, coupling), t))
     return min(values), max(values)
 
 
@@ -220,27 +250,30 @@ def estimate_oracle(
 
 def bind_estimator(
     name: str, basis: KrylovBasis, hamiltonian: LinearOperator | None = None
-) -> Callable[[float], float]:
+) -> BoundEstimator:
     """Bind an estimator name to a basis, returning ``eps(t) -> float``.
 
     For ``extra_site_exact`` the basis is extended once up front (one
-    operator application), so the returned closure is cheap for time sweeps.
-    A breakdown basis yields the exactly-zero estimator for every kind:
-    its evolution is exact.
+    operator application), so the returned estimator is cheap for time
+    sweeps and carries the extension as its ``basis``. A breakdown basis
+    yields the exactly-zero estimator for every kind and keeps the input
+    basis: its evolution is exact.
     """
     if name not in ESTIMATOR_NAMES:
         raise ValueError(f"unknown estimator {name!r}; expected one of {ESTIMATOR_NAMES}")
     if basis.breakdown:
-        return lambda t: 0.0
+        return BoundEstimator(lambda t: 0.0, basis)
     if name == EXTRA_SITE_EXACT:
         if hamiltonian is None:
             raise ValueError("extra_site_exact needs the Hamiltonian to extend the basis")
         extended = extend_one(basis, hamiltonian)
-        return lambda t: estimate_extra_site_exact(extended, t).value
+        return BoundEstimator(lambda t: estimate_extra_site_exact(extended, t).value, extended)
     if name == EXTRA_SITE_AVERAGED:
-        return lambda t: estimate_extra_site_averaged(basis, t, mode="literal").value
-    if name == "extra_site_hybrid":
-        return lambda t: estimate_extra_site_averaged(basis, t, mode="hybrid").value
-    if name == TOEPLITZ_ANALYTIC:
-        return lambda t: estimate_toeplitz_analytic(basis, t).value
-    return lambda t: estimate_park_light(basis, t).value
+        evaluate = lambda t: estimate_extra_site_averaged(basis, t, mode="literal").value
+    elif name == "extra_site_hybrid":
+        evaluate = lambda t: estimate_extra_site_averaged(basis, t, mode="hybrid").value
+    elif name == TOEPLITZ_ANALYTIC:
+        evaluate = lambda t: estimate_toeplitz_analytic(basis, t).value
+    else:
+        evaluate = lambda t: estimate_park_light(basis, t).value
+    return BoundEstimator(evaluate, basis)

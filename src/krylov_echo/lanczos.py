@@ -21,8 +21,6 @@ __all__ = ["BREAKDOWN_RTOL", "KrylovBasis", "extend_one", "lanczos_iterate"]
 # coefficient terminate the basis (the exact algorithm tests beta > 0).
 BREAKDOWN_RTOL = 1e-12
 
-_REORTH_POLICIES = ("full", "none")
-
 
 @dataclass(eq=False)
 class KrylovBasis:
@@ -42,7 +40,6 @@ class KrylovBasis:
     breakdown: bool
     source_dim: int
     source_norm: float
-    reorth: str = "full"
     residual: np.ndarray | None = field(default=None, repr=False)
 
     @property
@@ -58,13 +55,33 @@ def _reorthogonalize(w: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return w
 
 
-def lanczos_iterate(
-    hamiltonian: LinearOperator,
-    psi: np.ndarray,
-    n_steps: int,
-    reorth: str = "full",
-) -> KrylovBasis:
+def _recurrence_step(
+    hamiltonian: LinearOperator, vecs: np.ndarray, j: int, beta: float, scale: float
+) -> tuple[float, float, np.ndarray | None, float]:
+    """Fill chain site ``j`` of ``vecs``, which ``beta`` couples to site j-1.
+
+    Returns its onsite energy, the residual coupling and vector (0.0 and None
+    on breakdown) and ``scale``, the largest coefficient magnitude, updated.
+    """
+    x = hamiltonian.apply(vecs[j])
+    alpha = np.vdot(vecs[j], x).real
+    w = x - alpha * vecs[j]
+    if j > 0:
+        w = w - beta * vecs[j - 1]
+    w = _reorthogonalize(w, vecs[: j + 1])
+    scale = max(scale, abs(alpha))
+    residual_beta = float(np.linalg.norm(w))
+    if residual_beta <= BREAKDOWN_RTOL * scale:
+        return alpha, 0.0, None, scale
+    return alpha, residual_beta, w, max(scale, residual_beta)
+
+
+def lanczos_iterate(hamiltonian: LinearOperator, psi: np.ndarray, n_steps: int) -> KrylovBasis:
     """Run the Lanczos recurrence for ``n_steps`` vectors.
+
+    Every new residual is re-projected against all stored vectors (twice),
+    which is what makes the orthonormality and reduction invariants hold at
+    the 1e-10 level for large bases.
 
     Parameters
     ----------
@@ -72,14 +89,10 @@ def lanczos_iterate(
         Hermitian operator; only ``apply`` is used.
     psi : array
         Starting state; normalized internally (its norm is remembered for
-        evolution). The zero state is rejected.
+        evolution). The zero state and states with NaN or inf entries are
+        rejected.
     n_steps : int
         Requested basis size, ``1 <= n_steps <= hamiltonian.dim``.
-    reorth : {"full", "none"}
-        "full" re-projects every new residual against all stored vectors
-        (twice), which is what makes the orthonormality and reduction
-        invariants hold at the 1e-10 level for large bases. "none" is the
-        raw three-term recurrence, kept for performance studies.
 
     Returns
     -------
@@ -92,12 +105,12 @@ def lanczos_iterate(
         raise ValueError("n_steps must be >= 1")
     if n_steps > hamiltonian.dim:
         raise ValueError(f"n_steps {n_steps} exceeds operator dimension {hamiltonian.dim}")
-    if reorth not in _REORTH_POLICIES:
-        raise ValueError(f"unknown reorthogonalization policy {reorth!r}")
     psi = np.asarray(psi, dtype=np.complex128)
     if psi.shape != (hamiltonian.dim,):
         raise ValueError(f"state shape {psi.shape} does not match dim {hamiltonian.dim}")
     source_norm = float(np.linalg.norm(psi))
+    if not np.isfinite(source_norm):
+        raise ValueError("cannot build a Krylov basis from a state with NaN or inf entries")
     if source_norm == 0.0:
         raise ValueError("cannot build a Krylov basis from the zero state")
 
@@ -107,48 +120,24 @@ def lanczos_iterate(
     betas = np.zeros(max(n_steps - 1, 0))
 
     vecs[0] = psi / source_norm
-    x = hamiltonian.apply(vecs[0])
-    alphas[0] = np.vdot(vecs[0], x).real
-    w = x - alphas[0] * vecs[0]
-    if reorth == "full":
-        w = _reorthogonalize(w, vecs[:1])
-    scale = abs(alphas[0])
-
+    beta, residual, scale = 0.0, None, 0.0
     size = n_steps
-    breakdown = False
-    for j in range(1, n_steps):
-        beta = float(np.linalg.norm(w))
-        if beta <= BREAKDOWN_RTOL * scale:
-            size = j
-            breakdown = True
+    for j in range(n_steps):
+        if j > 0:
+            betas[j - 1] = beta
+            vecs[j] = residual / beta
+        alphas[j], beta, residual, scale = _recurrence_step(hamiltonian, vecs, j, beta, scale)
+        if residual is None:
+            size = j + 1
             break
-        betas[j - 1] = beta
-        scale = max(scale, beta)
-        vecs[j] = w / beta
-        x = hamiltonian.apply(vecs[j])
-        alphas[j] = np.vdot(vecs[j], x).real
-        scale = max(scale, abs(alphas[j]))
-        w = x - alphas[j] * vecs[j] - beta * vecs[j - 1]
-        if reorth == "full":
-            w = _reorthogonalize(w, vecs[: j + 1])
-
-    if breakdown:
-        residual_beta, residual = 0.0, None
-    else:
-        residual_beta = float(np.linalg.norm(w))
-        if residual_beta <= BREAKDOWN_RTOL * scale:
-            breakdown, residual_beta, residual = True, 0.0, None
-        else:
-            residual = w
 
     return KrylovBasis(
         vectors=vecs[:size] if size == n_steps else vecs[:size].copy(),
         tridiag=SymmetricTridiagonal(alphas[:size], betas[: size - 1]),
-        residual_beta=residual_beta,
-        breakdown=breakdown,
+        residual_beta=beta,
+        breakdown=residual is None,
         source_dim=dim,
         source_norm=source_norm,
-        reorth=reorth,
         residual=residual,
     )
 
@@ -172,29 +161,16 @@ def extend_one(basis: KrylovBasis, hamiltonian: LinearOperator) -> KrylovBasis:
         )
 
     beta = basis.residual_beta
-    v_new = basis.residual / beta
-    vecs = np.vstack([basis.vectors, v_new[None, :]])
-    x = hamiltonian.apply(v_new)
-    alpha = np.vdot(v_new, x).real
-    w = x - alpha * v_new - beta * basis.vectors[-1]
-    if basis.reorth == "full":
-        w = _reorthogonalize(w, vecs)
-
-    tridiag = basis.tridiag.append_site(alpha, beta)
-    scale = max(float(np.abs(tridiag.diag).max()), float(tridiag.offdiag.max()))
-    residual_beta = float(np.linalg.norm(w))
-    if residual_beta <= BREAKDOWN_RTOL * scale:
-        breakdown, residual_beta, residual = True, 0.0, None
-    else:
-        breakdown, residual = False, w
-
+    tri = basis.tridiag
+    vecs = np.vstack([basis.vectors, (basis.residual / beta)[None, :]])
+    scale = max(float(np.abs(tri.diag).max()), float(tri.offdiag.max(initial=beta)))
+    alpha, residual_beta, residual, _ = _recurrence_step(hamiltonian, vecs, tri.n, beta, scale)
     return KrylovBasis(
         vectors=vecs,
-        tridiag=tridiag,
+        tridiag=tri.append_site(alpha, beta),
         residual_beta=residual_beta,
-        breakdown=breakdown,
+        breakdown=residual is None,
         source_dim=basis.source_dim,
         source_norm=basis.source_norm,
-        reorth=basis.reorth,
         residual=residual,
     )

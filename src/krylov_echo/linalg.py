@@ -88,22 +88,33 @@ class SymmetricTridiagonal:
                 f"offdiag length {self.offdiag.size} does not fit diag length {self.diag.size}"
             )
         self._eigen: TridiagonalEigen | None = None
+        # Chains returned by prefix/append_site, shared and so read-only, so
+        # that an estimator evaluated at many times diagonalizes them once.
+        self._derived: dict[tuple, SymmetricTridiagonal] = {}
 
     @property
     def n(self) -> int:
         return self.diag.size
 
     def prefix(self, m: int) -> "SymmetricTridiagonal":
-        """Leading m-by-m principal block."""
+        """Leading m-by-m principal block (cached per ``m``)."""
         if not 1 <= m <= self.n:
             raise ValueError(f"prefix size {m} out of range 1..{self.n}")
-        return SymmetricTridiagonal(self.diag[:m].copy(), self.offdiag[: m - 1].copy())
+        key = ("prefix", m)
+        if key not in self._derived:
+            self._derived[key] = SymmetricTridiagonal(
+                self.diag[:m].copy(), self.offdiag[: m - 1].copy()
+            )
+        return self._derived[key]
 
     def append_site(self, onsite: float, coupling: float) -> "SymmetricTridiagonal":
-        """New matrix with one extra site attached through ``coupling``."""
-        return SymmetricTridiagonal(
-            np.append(self.diag, onsite), np.append(self.offdiag, coupling)
-        )
+        """Matrix with one extra site attached through ``coupling`` (cached per site)."""
+        key = ("append", onsite, coupling)
+        if key not in self._derived:
+            self._derived[key] = SymmetricTridiagonal(
+                np.append(self.diag, onsite), np.append(self.offdiag, coupling)
+            )
+        return self._derived[key]
 
     def to_dense(self) -> np.ndarray:
         mat = np.diag(self.diag)
@@ -187,9 +198,11 @@ class DenseOperator(LinearOperator):
 
     def __init__(self, matrix: np.ndarray):
         matrix = np.asarray(matrix)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            raise ValueError("a square matrix is required")
+        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or matrix.size == 0:
+            raise ValueError("a nonempty square matrix is required")
         scale = float(np.abs(matrix).max()) or 1.0
+        if not np.isfinite(scale):
+            raise ValueError("matrix has NaN or inf entries")
         if float(np.abs(matrix - matrix.conj().T).max()) > 1e-12 * scale:
             raise ValueError("matrix is not Hermitian")
         super().__init__(matrix.shape[0])

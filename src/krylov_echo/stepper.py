@@ -16,13 +16,8 @@ from typing import Callable
 
 import numpy as np
 
-from .estimators import (
-    EXTRA_SITE_EXACT,
-    ESTIMATOR_NAMES,
-    bind_estimator,
-    estimate_extra_site_exact,
-)
-from .lanczos import KrylovBasis, extend_one, lanczos_iterate
+from .estimators import EXTRA_SITE_EXACT, ESTIMATOR_NAMES, bind_estimator
+from .lanczos import KrylovBasis, lanczos_iterate
 from .linalg import LinearOperator
 from .propagator import krylov_evolve
 
@@ -117,11 +112,9 @@ def max_step_for_tolerance(
     """Largest step (up to ``t_cap``) whose estimated error stays in budget.
 
     ``kind`` names any estimator in ``ESTIMATOR_NAMES``; for
-    ``extra_site_exact`` pass ``hamiltonian`` so the basis can be extended
-    (or pass an already extended basis to :func:`evolve_adaptive`'s internal
-    search). Returns ``t_cap`` when the estimator never exceeds the budget,
-    and raises :class:`BudgetUnreachableError` when even the minimum step
-    does.
+    ``extra_site_exact`` pass ``hamiltonian`` so the basis can be extended.
+    Returns ``t_cap`` when the estimator never exceeds the budget, and
+    raises :class:`BudgetUnreachableError` when even the minimum step does.
     """
     if not 0.0 < budget:
         raise ValueError("budget must be positive")
@@ -146,13 +139,13 @@ def evolve_adaptive(
     Each step rebuilds the basis from the current state, sizes the step so
     its estimated error fits a time-proportional slice of the unspent
     tolerance, advances, and renormalizes. A breakdown basis means the
-    subspace is invariant, so the remaining time is covered in one exact
-    step. Deterministic for fixed inputs.
+    subspace is invariant: its estimate is exactly zero, so the remaining
+    time is covered in one exact step. Deterministic for fixed inputs.
     """
     if not 0.0 < tol < 1.0:
         raise ValueError("tol must be in (0, 1)")
-    if t_final <= 0.0:
-        raise ValueError("t_final must be positive")
+    if not 0.0 < t_final < np.inf:
+        raise ValueError("t_final must be positive and finite")
     if kind not in ESTIMATOR_NAMES:
         raise ValueError(f"unknown estimator {kind!r}; expected one of {ESTIMATOR_NAMES}")
 
@@ -165,31 +158,20 @@ def evolve_adaptive(
     while t_final - now > 1e-12 * t_final:
         tick = time.perf_counter()
         t_remaining = t_final - now
-        basis = lanczos_iterate(hamiltonian, state, n_krylov)
-        if basis.breakdown:
-            dt, estimate = t_remaining, 0.0
+        eval_fn = bind_estimator(kind, lanczos_iterate(hamiltonian, state, n_krylov), hamiltonian)
+        basis = eval_fn.basis
+        tol_unspent = tol - spent
+        dt_proposed = _max_step(eval_fn, tol_unspent, t_remaining)
+        if dt_proposed >= t_remaining:
+            dt = t_remaining
         else:
-            if kind == EXTRA_SITE_EXACT:
-                # The extension is already paid for by the estimator, so the
-                # step itself advances in the one-site-larger subspace; the
-                # recorded truncation estimate conservatively covers it.
-                extended = extend_one(basis, hamiltonian)
-                eval_fn = lambda t: estimate_extra_site_exact(extended, t).value
-                basis = extended
-            else:
-                eval_fn = bind_estimator(kind, basis, hamiltonian)
-            tol_unspent = tol - spent
-            dt_proposed = _max_step(eval_fn, tol_unspent, t_remaining)
-            if dt_proposed >= t_remaining:
-                dt = t_remaining
-            else:
-                # Quadratic (amplitude-aware) slice of the unspent budget:
-                # per-step error amplitudes can add coherently across
-                # restarts, so linear time-proportional slices do not keep
-                # the accumulated true infidelity near the bookkeeping.
-                budget = tol_unspent * (dt_proposed / t_remaining) ** 2
-                dt = _max_step(eval_fn, budget, t_remaining)
-            estimate = eval_fn(dt)
+            # Quadratic (amplitude-aware) slice of the unspent budget:
+            # per-step error amplitudes can add coherently across
+            # restarts, so linear time-proportional slices do not keep
+            # the accumulated true infidelity near the bookkeeping.
+            budget = tol_unspent * (dt_proposed / t_remaining) ** 2
+            dt = _max_step(eval_fn, budget, t_remaining)
+        estimate = eval_fn(dt)
         state = krylov_evolve(basis, dt)
         state = state / np.linalg.norm(state)
         spent += estimate

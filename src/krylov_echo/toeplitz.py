@@ -69,6 +69,16 @@ def toeplitz_eigenvector_component(chain: ToeplitzChain, n: int, k: int) -> floa
     return float(np.sqrt(2.0 / top) * np.sin(n * k * np.pi / top))
 
 
+def _transition_column(
+    n_sites: int, alpha: float, beta: float, t: float, source: int = 1
+) -> np.ndarray:
+    # S^N_{n,source}(t) for every site n (see toeplitz_transition); the sin
+    # table is cached across t values.
+    table = _sin_table(n_sites)
+    phases = np.exp(1j * t * _eigenvalues(n_sites, alpha, beta))
+    return (2.0 / (n_sites + 1)) * (table @ (table[source - 1] * phases))
+
+
 def toeplitz_transition(chain: ToeplitzChain, n: int, n_prime: int, t: float) -> complex:
     """Transition amplitude ``S^N_{n,n'}(t)`` of ``exp(+i T t)``.
 
@@ -76,18 +86,8 @@ def toeplitz_transition(chain: ToeplitzChain, n: int, n_prime: int, t: float) ->
     """
     _check_site(chain, "n", n)
     _check_site(chain, "n_prime", n_prime)
-    table = _sin_table(chain.n_sites)
-    phases = np.exp(1j * t * _eigenvalues(chain.n_sites, chain.alpha, chain.beta))
-    return complex(
-        (2.0 / (chain.n_sites + 1)) * np.sum(table[n - 1] * table[n_prime - 1] * phases)
-    )
-
-
-def _transition_column(n_sites: int, alpha: float, beta: float, t: float) -> np.ndarray:
-    # S^N_{n,1}(t) for every site n; the sin table is cached across t values.
-    table = _sin_table(n_sites)
-    phases = np.exp(1j * t * _eigenvalues(n_sites, alpha, beta))
-    return (2.0 / (n_sites + 1)) * (table @ (table[0] * phases))
+    column = _transition_column(chain.n_sites, chain.alpha, chain.beta, t, n_prime)
+    return complex(column[n - 1])
 
 
 def toeplitz_echo(n_sites: int, n_prime: int, alpha: float, beta: float, t: float) -> complex:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from krylov_echo.estimators import (
+    ESTIMATOR_NAMES,
     bind_estimator,
     averaged_coefficients,
     echo_general,
@@ -339,6 +340,18 @@ class TestBindEstimator:
         basis = lanczos_iterate(op, basis_state(3), 2)
         for name in ("extra_site_exact", "extra_site_averaged", "park_light"):
             assert bind_estimator(name, basis, op)(4.0) == 0.0
+
+    def test_exact_carries_extension(self, ising_setup):
+        ham, _, basis, _ = ising_setup
+        assert bind_estimator("extra_site_exact", basis, ham).basis.size == basis.size + 1
+
+    def test_breakdown_keeps_input_basis(self):
+        op = DenseOperator(np.diag([1.0, 2.0, 3.0]))
+        basis = lanczos_iterate(op, basis_state(3), 2)
+        for name in ESTIMATOR_NAMES:
+            bound = bind_estimator(name, basis, op)
+            assert bound(4.0) == 0.0
+            assert bound.basis is basis
 
     def test_names_dispatch_consistently(self, ising_setup):
         ham, _, basis, extended = ising_setup

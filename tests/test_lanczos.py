@@ -54,15 +54,18 @@ class TestContractErrors:
         with pytest.raises(ValueError, match="exceeds"):
             lanczos_iterate(op, basis_state(3), 4)
 
-    def test_bad_policy(self):
-        op = DenseOperator(np.eye(3))
-        with pytest.raises(ValueError, match="policy"):
-            lanczos_iterate(op, basis_state(3), 2, reorth="sometimes")
-
     def test_dimension_mismatch(self):
         op = DenseOperator(np.eye(3))
         with pytest.raises(ValueError, match="does not match"):
             lanczos_iterate(op, basis_state(4), 2)
+
+    def test_non_finite_state(self):
+        op = DenseOperator(np.eye(3))
+        for bad in (np.nan, np.inf):
+            psi = basis_state(3)
+            psi[1] = bad
+            with pytest.raises(ValueError, match="NaN or inf"):
+                lanczos_iterate(op, psi, 2)
 
 
 class TestBasisInvariants:
@@ -113,14 +116,6 @@ class TestBasisInvariants:
         for t in (1.0, 5.0):
             exact = exact_evolve_dense(ham, psi, t)
             assert true_infidelity(krylov_evolve(basis, t), exact) <= 1e-10
-
-    def test_raw_mode_matches_full_at_small_size(self):
-        ham = goe_sample(64, 8)
-        psi = random_state(64, 9)
-        full = lanczos_iterate(ham, psi, 6, reorth="full")
-        raw = lanczos_iterate(ham, psi, 6, reorth="none")
-        assert np.abs(full.tridiag.diag - raw.tridiag.diag).max() <= 1e-10
-        assert np.abs(full.tridiag.offdiag - raw.tridiag.offdiag).max() <= 1e-10
 
 
 class TestExtendOne:

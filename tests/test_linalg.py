@@ -165,6 +165,14 @@ class TestOperators:
         with pytest.raises(ValueError, match="does not match"):
             op.apply(np.zeros(2, dtype=complex))
 
+    def test_dense_operator_rejects_nan(self):
+        with pytest.raises(ValueError, match="NaN or inf"):
+            DenseOperator(np.array([[0.0, np.nan], [np.nan, 1.0]]))
+
+    def test_dense_operator_rejects_empty(self):
+        with pytest.raises(ValueError, match="nonempty square"):
+            DenseOperator(np.zeros((0, 0)))
+
     def test_to_dense_matches_apply(self, rng):
         g = rng.standard_normal((6, 6))
         op = DenseOperator((g + g.T) / 2)

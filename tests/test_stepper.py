@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from krylov_echo import linalg
 from krylov_echo.estimators import estimate_toeplitz_analytic
 from krylov_echo.lanczos import lanczos_iterate
 from krylov_echo.linalg import DenseOperator, SymmetricTridiagonal, basis_state, exact_evolve_dense
@@ -132,3 +133,29 @@ class TestEvolveAdaptive:
             evolve_adaptive(ham, psi, -1.0, 1e-8, 8)
         with pytest.raises(ValueError, match="unknown estimator"):
             evolve_adaptive(ham, psi, 10.0, 1e-8, 8, kind="wrong")
+
+    def test_non_finite_t_final(self):
+        ham = ising_operator(IsingParams(6))
+        psi = random_state(ham.dim, 1)
+        for t_final in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="t_final"):
+                evolve_adaptive(ham, psi, t_final, 1e-8, 8)
+
+    @pytest.mark.parametrize(
+        "kind", ["extra_site_exact", "extra_site_averaged", "extra_site_hybrid"]
+    )
+    def test_at_most_two_eigensolves_per_step(self, monkeypatch, kind):
+        # Each step diagonalizes the truncated chain and its one-site
+        # reference once, however many times the step search evaluates.
+        calls = []
+        original = linalg.eig_sym_tridiagonal
+
+        def counted(tri):
+            calls.append(tri.n)
+            return original(tri)
+
+        monkeypatch.setattr(linalg, "eig_sym_tridiagonal", counted)
+        ham = ising_operator(IsingParams(10))
+        report = evolve_adaptive(ham, random_state(ham.dim, 1), 20.0, 1e-8, 20, kind=kind)
+        assert len(report.steps) >= 2
+        assert len(calls) <= 2 * len(report.steps)
