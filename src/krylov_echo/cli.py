@@ -350,6 +350,7 @@ def cmd_evolve(cfg: ExperimentConfig) -> None:
     comments.append(f"estimator={kind}")
     comments.append(f"state_out={state_path}")
     comments.append(f"total_estimated_error={_fmt(report.total_estimated_error)}")
+    comments.append(f"infidelity_bound={_fmt(report.infidelity_bound)}")
     if hamiltonian.dim <= cfg.oracle_cap:
         exact = exact_evolve_dense(hamiltonian, psi, cfg.t_final, cap=cfg.oracle_cap)
         final_infidelity = true_infidelity(report.final_state, exact)

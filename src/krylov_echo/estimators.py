@@ -8,7 +8,8 @@ cost, and the extra site's coefficients can themselves be estimated from
 the history of the recurrence, or handled in closed form when the chain is
 treated as homogeneous.
 
-All estimators return ``1 - |echo amplitude|^2`` clamped to [0, 1].
+Echo estimators return ``1 - |echo|^2`` clamped to [0, 1], computed as
+``||b - a<a|b>||^2`` on the two chain end states, which resolves ~1e-30.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .linalg import (
     expi_tridiagonal_apply,
 )
 from .propagator import krylov_evolve, true_infidelity
-from .toeplitz import toeplitz_echo
+from .toeplitz import toeplitz_end_state
 
 __all__ = [
     "AveragedCoefficients",
@@ -122,15 +123,15 @@ def echo_general(
     return complex(np.vdot(state_a[:k], state_b[:k]))
 
 
-def _echo_infidelity(
-    truncated: SymmetricTridiagonal, reference: SymmetricTridiagonal, t: float
-) -> float:
-    """``1 - |echo|^2`` between a chain and its one-site-longer reference.
+def _echo_infidelity(a: np.ndarray, b: np.ndarray) -> float:
+    """``1 - |<a|b>|^2`` of unit end states as ``||b - a<a|b>||^2``, ``a`` zero-padded.
 
-    Derive one chain from the other through the cached ``prefix`` or
+    Derive a chain from the other through the cached ``prefix`` or
     ``append_site``, so that a time sweep diagonalizes each chain once.
     """
-    return _clamp_unit(1.0 - abs(echo_general(truncated, reference, t)) ** 2)
+    residual = b.copy()
+    residual[: a.size] -= a * np.vdot(a, b[: a.size])
+    return _clamp_unit(np.vdot(residual, residual).real)
 
 
 def _coupling_history(basis: KrylovBasis) -> np.ndarray:
@@ -170,7 +171,7 @@ def estimate_extra_site_exact(extended: KrylovBasis, t: float) -> ErrorEstimate:
         return ErrorEstimate(0.0, float(t), EXTRA_SITE_EXACT)
     _require_history(extended)
     full = extended.tridiag
-    value = _echo_infidelity(full.prefix(full.n - 1), full, t)
+    value = _echo_infidelity(_chain_state(full.prefix(full.n - 1), t), _chain_state(full, t))
     return ErrorEstimate(value, float(t), EXTRA_SITE_EXACT)
 
 
@@ -190,20 +191,23 @@ def estimate_extra_site_averaged(
     avg = averaged_coefficients(basis)
     coupling = avg.beta_bar if mode == "literal" else basis.residual_beta
     tri = basis.tridiag
-    value = _echo_infidelity(tri, tri.append_site(avg.alpha_bar, coupling), t)
-    return ErrorEstimate(value, float(t), EXTRA_SITE_AVERAGED)
+    reference = tri.append_site(avg.alpha_bar, coupling)
+    value = _echo_infidelity(_chain_state(tri, t), _chain_state(reference, t))
+    kind = EXTRA_SITE_AVERAGED if mode == "literal" else "extra_site_hybrid"
+    return ErrorEstimate(value, float(t), kind)
 
 
 def estimate_toeplitz_analytic(basis: KrylovBasis, t: float) -> ErrorEstimate:
     """Closed-form estimate treating the chain as homogeneous.
 
-    Uses the analytic echo between homogeneous chains of sizes N and N+1
-    with the history-averaged coefficients; no propagation is performed.
+    Compares the analytic end states of homogeneous chains of sizes N and
+    N+1 with the history-averaged coefficients; no propagation is performed.
     """
     _require_history(basis)
     avg = averaged_coefficients(basis)
-    echo = toeplitz_echo(basis.size, basis.size + 1, avg.alpha_bar, avg.beta_bar, t)
-    return ErrorEstimate(_clamp_unit(1.0 - abs(echo) ** 2), float(t), TOEPLITZ_ANALYTIC)
+    a = toeplitz_end_state(basis.size, avg.alpha_bar, avg.beta_bar, t)
+    b = toeplitz_end_state(basis.size + 1, avg.alpha_bar, avg.beta_bar, t)
+    return ErrorEstimate(_echo_infidelity(a, b), float(t), TOEPLITZ_ANALYTIC)
 
 
 def estimate_park_light(basis: KrylovBasis, t: float) -> ErrorEstimate:
@@ -226,12 +230,14 @@ def extra_site_band(basis: KrylovBasis, t: float) -> tuple[float, float]:
     tri = basis.tridiag
     alphas = tri.diag
     betas = _coupling_history(basis)
+    truncated = _chain_state(tri, t)
     values = []
     for onsite, coupling in product(
         (float(alphas.min()), float(alphas.max())),
         (float(betas.min()), float(betas.max())),
     ):
-        values.append(_echo_infidelity(tri, tri.append_site(onsite, coupling), t))
+        reference = tri.append_site(onsite, coupling)
+        values.append(_echo_infidelity(truncated, _chain_state(reference, t)))
     return min(values), max(values)
 
 

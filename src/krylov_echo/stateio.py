@@ -28,7 +28,10 @@ def read_state(path) -> np.ndarray:
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
             raise ValueError(f"not a KRYV1 state file: bad magic {magic!r}")
-        (dim,) = struct.unpack("<Q", fh.read(8))
+        header = fh.read(8)
+        if len(header) != 8:
+            raise ValueError(f"truncated state file: {len(header)} of 8 dimension bytes")
+        (dim,) = struct.unpack("<Q", header)
         payload = fh.read()
     expected = 16 * dim
     if len(payload) != expected:

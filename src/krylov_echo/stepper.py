@@ -1,15 +1,16 @@
 """Adaptive evolution driver: restarted Krylov steps sized by cheap estimators.
 
-Long evolutions are followed as a sequence of patches: build a basis, step
-for as long as the error estimator stays inside the step's slice of the
-tolerance budget, map back, restart. Per-step estimates are summed as a
-conservative bookkeeping proxy for the total infidelity; each step's budget
-is a time-proportional slice of the *unspent* tolerance, which makes the
-total bookkeeping provably respect the requested tolerance.
+Long evolutions are followed as a sequence of patches: build a basis, take
+the longest step the estimator allows, map back, restart. Step errors can
+add coherently, so the budget is spent in amplitude: each step takes the
+largest ``dt`` with ``eps(dt) <= (r dt)^2``, ``r = (sqrt(tol) - sum
+sqrt(eps_k)) / t_remaining``. ``r`` never decreases, so the reported
+``infidelity_bound = (sum sqrt(eps_k))^2`` stays within ``tol``.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable
@@ -38,7 +39,7 @@ SAFETY = 0.9
 
 
 class BudgetUnreachableError(ValueError):
-    """The estimator exceeds the budget already at the minimum step."""
+    """The estimator exceeds its budget already at the minimum step."""
 
 
 @dataclass
@@ -55,50 +56,48 @@ class StepRecord:
 
 @dataclass(eq=False)
 class EvolutionReport:
-    """Final state plus the full step log and its exact error bookkeeping."""
+    """Final state, step log, ``sum eps_k`` and the bound ``(sum sqrt(eps_k))^2``."""
 
     final_state: np.ndarray
     steps: list[StepRecord]
     total_estimated_error: float
+    infidelity_bound: float
     config: dict
 
 
-def _max_step(eval_fn: Callable[[float], float], budget: float, t_cap: float) -> float:
-    """Largest step with ``eval_fn(dt) <= budget``, by doubling + bisection."""
-    if eval_fn(MIN_STEP) > budget:
+def _max_step(exceeds: Callable[[float], bool], t_cap: float) -> float:
+    """Largest step with ``not exceeds(dt)``, by doubling + bisection."""
+    if exceeds(MIN_STEP):
         raise BudgetUnreachableError(
-            f"estimated error at the minimum step {MIN_STEP} already exceeds the "
-            f"per-step budget {budget:.3e}; increase the basis size or the tolerance"
+            f"estimated error at the minimum step {MIN_STEP} already exceeds its "
+            "budget; increase the basis size or the tolerance"
         )
     # Geometric expansion until the estimator first climbs above budget.
-    low = MIN_STEP
-    high = None
-    dt = MIN_STEP
-    while dt < t_cap:
-        dt = min(2.0 * dt, t_cap)
-        if eval_fn(dt) > budget:
-            high = dt
+    low = high = MIN_STEP
+    while high < t_cap:
+        high = min(2.0 * low, t_cap)
+        if exceeds(high):
             break
-        low = dt
-    if high is None:
+        low = high
+    else:
         return t_cap
     # Bisection onto the first upward crossing inside (low, high).
     while high - low > BISECT_RTOL * low:
         mid = 0.5 * (low + high)
-        if eval_fn(mid) > budget:
+        if exceeds(mid):
             high = mid
         else:
             low = mid
     # Back off, then verify: the recorded estimate must sit inside budget
     # even if the estimator is not locally monotone.
     dt = SAFETY * low
-    while dt > MIN_STEP and eval_fn(dt) > budget:
+    while exceeds(dt):
+        if dt <= MIN_STEP:
+            raise BudgetUnreachableError(
+                f"no step above {MIN_STEP} satisfies its budget; "
+                "increase the basis size or the tolerance"
+            )
         dt *= SAFETY
-    if eval_fn(dt) > budget:
-        raise BudgetUnreachableError(
-            f"no step above {MIN_STEP} satisfies the per-step budget {budget:.3e}; "
-            "increase the basis size or the tolerance"
-        )
     return dt
 
 
@@ -123,7 +122,7 @@ def max_step_for_tolerance(
     if budget >= 1.0:
         return t_cap
     eval_fn = bind_estimator(kind, basis, hamiltonian)
-    return _max_step(eval_fn, budget, t_cap)
+    return _max_step(lambda dt: eval_fn(dt) > budget, t_cap)
 
 
 def evolve_adaptive(
@@ -137,15 +136,17 @@ def evolve_adaptive(
     """Evolve ``psi`` to ``t_final`` with restarted Krylov steps.
 
     Each step rebuilds the basis from the current state, sizes the step so
-    its estimated error fits a time-proportional slice of the unspent
-    tolerance, advances, and renormalizes. A breakdown basis means the
-    subspace is invariant: its estimate is exactly zero, so the remaining
-    time is covered in one exact step. Deterministic for fixed inputs.
+    its error amplitude fits the unspent amplitude spread over the remaining
+    time, advances, and renormalizes. A breakdown basis means the subspace
+    is invariant: its estimate is exactly zero, so the remaining time is
+    covered in one exact step. Deterministic for fixed inputs.
     """
     if not 0.0 < tol < 1.0:
         raise ValueError("tol must be in (0, 1)")
     if not 0.0 < t_final < np.inf:
         raise ValueError("t_final must be positive and finite")
+    if n_krylov < 2:
+        raise ValueError(f"n_krylov must be >= 2 for an error estimate, got {n_krylov}")
     if kind not in ESTIMATOR_NAMES:
         raise ValueError(f"unknown estimator {kind!r}; expected one of {ESTIMATOR_NAMES}")
 
@@ -153,28 +154,19 @@ def evolve_adaptive(
     n_krylov = min(n_krylov, hamiltonian.dim)
     steps: list[StepRecord] = []
     now = 0.0
-    spent = 0.0
+    spent_amplitude = 0.0
     # Guard against a spurious 1-ulp residual step after now += (t_final - now).
     while t_final - now > 1e-12 * t_final:
         tick = time.perf_counter()
         t_remaining = t_final - now
         eval_fn = bind_estimator(kind, lanczos_iterate(hamiltonian, state, n_krylov), hamiltonian)
         basis = eval_fn.basis
-        tol_unspent = tol - spent
-        dt_proposed = _max_step(eval_fn, tol_unspent, t_remaining)
-        if dt_proposed >= t_remaining:
-            dt = t_remaining
-        else:
-            # Quadratic (amplitude-aware) slice of the unspent budget:
-            # per-step error amplitudes can add coherently across
-            # restarts, so linear time-proportional slices do not keep
-            # the accumulated true infidelity near the bookkeeping.
-            budget = tol_unspent * (dt_proposed / t_remaining) ** 2
-            dt = _max_step(eval_fn, budget, t_remaining)
+        rate = (math.sqrt(tol) - spent_amplitude) / t_remaining
+        dt = _max_step(lambda step: eval_fn(step) > (rate * step) ** 2, t_remaining)
         estimate = eval_fn(dt)
         state = krylov_evolve(basis, dt)
         state = state / np.linalg.norm(state)
-        spent += estimate
+        spent_amplitude += math.sqrt(estimate)
         steps.append(
             StepRecord(
                 t_start=now,
@@ -192,6 +184,7 @@ def evolve_adaptive(
         final_state=state,
         steps=steps,
         total_estimated_error=total,
+        infidelity_bound=spent_amplitude**2,
         config={
             "t_final": t_final,
             "tol": tol,

@@ -19,6 +19,7 @@ __all__ = [
     "ToeplitzChain",
     "rescaling_check",
     "toeplitz_echo",
+    "toeplitz_end_state",
     "toeplitz_eigenvalue",
     "toeplitz_eigenvector_component",
     "toeplitz_transition",
@@ -88,6 +89,11 @@ def toeplitz_transition(chain: ToeplitzChain, n: int, n_prime: int, t: float) ->
     _check_site(chain, "n_prime", n_prime)
     column = _transition_column(chain.n_sites, chain.alpha, chain.beta, t, n_prime)
     return complex(column[n - 1])
+
+
+def toeplitz_end_state(n_sites: int, alpha: float, beta: float, t: float) -> np.ndarray:
+    """Chain state ``exp(-i T t)|1>`` in closed form: the column ``S^N_{n,1}(-t)``."""
+    return _transition_column(n_sites, alpha, beta, -t)
 
 
 def toeplitz_echo(n_sites: int, n_prime: int, alpha: float, beta: float, t: float) -> complex:

@@ -205,6 +205,7 @@ def test_criterion_7_adaptive_stepper_guarantee():
     tol, t_final = 1e-8, 100.0
     passes = 0
     books_exact = True
+    bounded = True
     worst = 0.0
     for seed in range(1, 11):
         psi = random_state(ham.dim, seed)
@@ -217,14 +218,15 @@ def test_criterion_7_adaptive_stepper_guarantee():
         )
         worst = max(worst, infidelity)
         passes += infidelity <= 10 * tol
+        bounded &= infidelity <= report_.infidelity_bound
     elapsed = time.perf_counter() - start
-    ok = passes >= 9 and books_exact and elapsed < 300.0
+    ok = passes >= 9 and books_exact and bounded and elapsed < 300.0
     assert report(
         7,
         "adaptive stepper guarantee",
         ok,
         f"{passes}/10 runs within 10x tol (worst {worst:.2e}), exact bookkeeping "
-        f"{books_exact}, runtime {elapsed:.1f}s < 300s",
+        f"{books_exact}, within infidelity_bound {bounded}, runtime {elapsed:.1f}s < 300s",
     )
 
 

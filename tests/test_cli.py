@@ -118,6 +118,9 @@ class TestStateFiles:
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(ValueError, match="truncated"):
             read_state(path)
+        path.write_bytes(b"KRYV1\x01\x02")
+        with pytest.raises(ValueError, match="truncated"):
+            read_state(path)
 
 
 class TestRegimesCommand:
@@ -358,6 +361,20 @@ class TestEvolveCommand:
         state = read_state(state_out)
         assert state.size == 64
         assert abs(np.linalg.norm(state) - 1.0) <= 1e-12
+
+    def test_infidelity_bound_line(self, tmp_path):
+        out = tmp_path / "evolve.csv"
+        rc = main(
+            "evolve --model ising --n 6 --krylov-n 12 --tol 1e-8 --t-final 20 "
+            f"--seed 1 --out {out}".split()
+        )
+        assert rc == 0
+        comments, header, rows = read_csv(out)
+        bound = float(comments["infidelity_bound"])
+        amplitudes = np.sqrt(column(header, rows, "estimated_error")).sum()
+        assert bound == pytest.approx(amplitudes**2, rel=1e-12)
+        assert float(comments["total_estimated_error"]) <= bound <= 1e-8
+        assert float(comments["true_infidelity"]) <= bound
 
     def test_tighter_tolerance_never_fewer_steps(self, tmp_path):
         counts = {}

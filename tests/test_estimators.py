@@ -143,8 +143,9 @@ class TestExtraSiteAveraged:
     def test_hybrid_differs_from_literal_on_inhomogeneous(self, ising_setup):
         _, _, basis, _ = ising_setup
         literal = estimate_extra_site_averaged(basis, 1.8, mode="literal").value
-        hybrid = estimate_extra_site_averaged(basis, 1.8, mode="hybrid").value
-        assert literal != hybrid
+        hybrid = estimate_extra_site_averaged(basis, 1.8, mode="hybrid")
+        assert literal != hybrid.value
+        assert hybrid.kind == "extra_site_hybrid"
 
     def test_requires_history(self):
         basis = homogeneous_basis(1)
@@ -286,6 +287,25 @@ class TestCrossEstimatorProperties:
         direct = true_infidelity(krylov_evolve(basis, t), exact_evolve_dense(ham, psi, t))
         assert est.value == pytest.approx(direct, rel=1e-10)
         assert est.kind == "oracle"
+
+
+class TestSmallTimeFloor:
+    def test_homogeneous_two_site_error_resolved(self):
+        # N=2, alpha=0, beta=1: eps(t) = t^4/4 + O(t^6), far below the
+        # ~1e-16 floor of 1 - |echo|^2.
+        basis = homogeneous_basis(2)
+        ham = DenseOperator(
+            SymmetricTridiagonal(np.zeros(6), np.ones(5)).to_dense()
+        )
+        t = 1e-5
+        values = [
+            estimate_extra_site_exact(extend_one(basis, ham), t).value,
+            estimate_extra_site_averaged(basis, t, mode="literal").value,
+            estimate_extra_site_averaged(basis, t, mode="hybrid").value,
+            estimate_toeplitz_analytic(basis, t).value,
+            *extra_site_band(basis, t),
+        ]
+        assert values == pytest.approx([t**4 / 4] * len(values), rel=1e-4, abs=0.0)
 
 
 class TestWindowFidelity:

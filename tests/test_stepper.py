@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from krylov_echo import linalg
-from krylov_echo.estimators import estimate_toeplitz_analytic
+from krylov_echo import estimators, linalg
+from krylov_echo.estimators import ESTIMATOR_NAMES, estimate_toeplitz_analytic
 from krylov_echo.lanczos import lanczos_iterate
 from krylov_echo.linalg import DenseOperator, SymmetricTridiagonal, basis_state, exact_evolve_dense
 from krylov_echo.models import IsingParams, ising_operator, random_state
@@ -159,3 +159,46 @@ class TestEvolveAdaptive:
         report = evolve_adaptive(ham, random_state(ham.dim, 1), 20.0, 1e-8, 20, kind=kind)
         assert len(report.steps) >= 2
         assert len(calls) <= 2 * len(report.steps)
+
+    @pytest.mark.parametrize("kind", ESTIMATOR_NAMES)
+    def test_basis_too_small_for_an_estimate(self, kind):
+        ham = ising_operator(IsingParams(6))
+        psi = random_state(ham.dim, 1)
+        with pytest.raises(ValueError, match="n_krylov"):
+            evolve_adaptive(ham, psi, 1.0, 1e-8, 1, kind=kind)
+
+    @pytest.mark.parametrize("kind", ESTIMATOR_NAMES)
+    def test_infidelity_bound_holds(self, kind):
+        # Per-step error amplitudes can add coherently, so the sum of the
+        # estimates may fall below the true infidelity; (sum sqrt eps)^2
+        # must not.
+        ham = ising_operator(IsingParams(10))
+        psi = random_state(ham.dim, 1)
+        tol = 1e-8
+        report = evolve_adaptive(ham, psi, 100.0, tol, 30, kind=kind)
+        assert report.total_estimated_error <= report.infidelity_bound <= tol
+        amplitudes = sum(np.sqrt(s.estimated_error) for s in report.steps)
+        assert report.infidelity_bound == pytest.approx(amplitudes**2, rel=1e-12)
+        infidelity = true_infidelity(report.final_state, exact_evolve_dense(ham, psi, 100.0))
+        assert infidelity <= report.infidelity_bound
+
+    @pytest.mark.parametrize("kind", ESTIMATOR_NAMES)
+    def test_one_search_per_step(self, monkeypatch, kind):
+        calls = []
+        for name in (
+            "estimate_extra_site_exact",
+            "estimate_extra_site_averaged",
+            "estimate_toeplitz_analytic",
+            "estimate_park_light",
+        ):
+            original = getattr(estimators, name)
+
+            def counted(*args, _original=original, **kwargs):
+                calls.append(1)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(estimators, name, counted)
+        ham = ising_operator(IsingParams(8))
+        report = evolve_adaptive(ham, random_state(ham.dim, 1), 20.0, 1e-8, 20, kind=kind)
+        assert len(report.steps) >= 2
+        assert len(calls) <= 40 * len(report.steps)
