@@ -35,7 +35,7 @@ from .linalg import (
     expi_tridiagonal_apply,
 )
 from .models import IsingParams, goe_sample, gue_sample, ising_operator, random_state
-from .propagator import krylov_evolve, project_profile, true_infidelity
+from .propagator import project_profile, true_infidelity
 from .stateio import write_state
 from .stepper import evolve_adaptive
 from .toeplitz import toeplitz_echo
@@ -98,6 +98,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown model {self.model!r}; expected one of {MODELS}")
         if self.points < 2:
             raise ValueError("points must be >= 2")
+        if not np.isfinite([self.t_min, self.t_max, *self.times]).all():
+            raise ValueError("t_min, t_max and times must be finite")
         if not self.t_min < self.t_max:
             raise ValueError("t_min must be smaller than t_max")
         for name in self.estimators:
@@ -243,10 +245,9 @@ def cmd_regimes(cfg: ExperimentConfig) -> None:
     hamiltonian, psi = build_model(cfg)
     basis = lanczos_iterate(hamiltonian, psi, min(cfg.krylov_n, hamiltonian.dim))
     ts = _grid(cfg)
-    errors = np.empty(ts.size)
-    for i, t in enumerate(ts):
-        exact = exact_evolve_dense(hamiltonian, psi, t, cap=cfg.oracle_cap)
-        errors[i] = true_infidelity(krylov_evolve(basis, t), exact)
+    errors = np.array(
+        [estimate_oracle(basis, hamiltonian, t, cap=cfg.oracle_cap).value for t in ts]
+    )
     echoes = 1.0 - errors
     t_exp, t_col = measure_regime_times(ts, errors, echoes)
     comments = _config_comments(

@@ -8,8 +8,8 @@ cost, and the extra site's coefficients can themselves be estimated from
 the history of the recurrence, or handled in closed form when the chain is
 treated as homogeneous.
 
-Echo estimators return ``1 - |echo|^2`` clamped to [0, 1], computed as
-``||b - a<a|b>||^2`` on the two chain end states, which resolves ~1e-30.
+Echo estimators return ``1 - |echo|^2`` of two chain end states through the
+kernel of :func:`krylov_echo.propagator.true_infidelity`, resolving ~1e-30.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .linalg import (
     exact_evolve_dense,
     expi_tridiagonal_apply,
 )
-from .propagator import krylov_evolve, true_infidelity
+from .propagator import _infidelity, krylov_evolve, true_infidelity
 from .toeplitz import toeplitz_end_state
 
 __all__ = [
@@ -102,10 +102,6 @@ def _chain_state(tri: SymmetricTridiagonal, t: float) -> np.ndarray:
     return expi_tridiagonal_apply(tri, t, basis_state(tri.n))
 
 
-def _clamp_unit(x: float) -> float:
-    return min(max(float(x), 0.0), 1.0)
-
-
 def echo_general(
     tri_a: SymmetricTridiagonal, tri_b: SymmetricTridiagonal, t: float
 ) -> complex:
@@ -121,17 +117,6 @@ def echo_general(
     state_b = _chain_state(tri_b, t)
     k = min(state_a.size, state_b.size)
     return complex(np.vdot(state_a[:k], state_b[:k]))
-
-
-def _echo_infidelity(a: np.ndarray, b: np.ndarray) -> float:
-    """``1 - |<a|b>|^2`` of unit end states as ``||b - a<a|b>||^2``, ``a`` zero-padded.
-
-    Derive a chain from the other through the cached ``prefix`` or
-    ``append_site``, so that a time sweep diagonalizes each chain once.
-    """
-    residual = b.copy()
-    residual[: a.size] -= a * np.vdot(a, b[: a.size])
-    return _clamp_unit(np.vdot(residual, residual).real)
 
 
 def _coupling_history(basis: KrylovBasis) -> np.ndarray:
@@ -171,7 +156,7 @@ def estimate_extra_site_exact(extended: KrylovBasis, t: float) -> ErrorEstimate:
         return ErrorEstimate(0.0, float(t), EXTRA_SITE_EXACT)
     _require_history(extended)
     full = extended.tridiag
-    value = _echo_infidelity(_chain_state(full.prefix(full.n - 1), t), _chain_state(full, t))
+    value = _infidelity(_chain_state(full.prefix(full.n - 1), t), _chain_state(full, t))
     return ErrorEstimate(value, float(t), EXTRA_SITE_EXACT)
 
 
@@ -192,7 +177,7 @@ def estimate_extra_site_averaged(
     coupling = avg.beta_bar if mode == "literal" else basis.residual_beta
     tri = basis.tridiag
     reference = tri.append_site(avg.alpha_bar, coupling)
-    value = _echo_infidelity(_chain_state(tri, t), _chain_state(reference, t))
+    value = _infidelity(_chain_state(tri, t), _chain_state(reference, t))
     kind = EXTRA_SITE_AVERAGED if mode == "literal" else "extra_site_hybrid"
     return ErrorEstimate(value, float(t), kind)
 
@@ -207,7 +192,7 @@ def estimate_toeplitz_analytic(basis: KrylovBasis, t: float) -> ErrorEstimate:
     avg = averaged_coefficients(basis)
     a = toeplitz_end_state(basis.size, avg.alpha_bar, avg.beta_bar, t)
     b = toeplitz_end_state(basis.size + 1, avg.alpha_bar, avg.beta_bar, t)
-    return ErrorEstimate(_echo_infidelity(a, b), float(t), TOEPLITZ_ANALYTIC)
+    return ErrorEstimate(_infidelity(a, b), float(t), TOEPLITZ_ANALYTIC)
 
 
 def estimate_park_light(basis: KrylovBasis, t: float) -> ErrorEstimate:
@@ -217,7 +202,7 @@ def estimate_park_light(basis: KrylovBasis, t: float) -> ErrorEstimate:
     that reached the truncation end of the chain.
     """
     value = abs(_chain_state(basis.tridiag, t)[-1]) ** 2
-    return ErrorEstimate(_clamp_unit(value), float(t), PARK_LIGHT)
+    return ErrorEstimate(min(float(value), 1.0), float(t), PARK_LIGHT)
 
 
 def extra_site_band(basis: KrylovBasis, t: float) -> tuple[float, float]:
@@ -237,7 +222,7 @@ def extra_site_band(basis: KrylovBasis, t: float) -> tuple[float, float]:
         (float(betas.min()), float(betas.max())),
     ):
         reference = tri.append_site(onsite, coupling)
-        values.append(_echo_infidelity(truncated, _chain_state(reference, t)))
+        values.append(_infidelity(truncated, _chain_state(reference, t)))
     return min(values), max(values)
 
 

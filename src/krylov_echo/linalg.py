@@ -162,34 +162,31 @@ class LinearOperator:
 
     Subclasses implement :meth:`apply`. The operator must be linear and
     Hermitian; shared state is read-only after construction, so concurrent
-    applies on distinct vectors are safe. ``to_dense``/``dense_eigh`` memoize
-    their results and exist for verification at modest dimensions.
+    applies on distinct vectors are safe. ``to_dense``/``dense_eigh`` exist
+    for verification at modest dimensions; only ``dense_eigh`` memoizes.
     """
 
     def __init__(self, dim: int):
         if dim < 1:
             raise ValueError("operator dimension must be >= 1")
         self.dim = int(dim)
-        self._dense: np.ndarray | None = None
         self._dense_eigh: tuple[np.ndarray, np.ndarray] | None = None
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def to_dense(self) -> np.ndarray:
-        """Materialized matrix, built column by column and cached."""
-        if self._dense is None:
-            cols = np.empty((self.dim, self.dim), dtype=np.complex128)
-            for j in range(self.dim):
-                cols[:, j] = self.apply(basis_state(self.dim, j))
-            self._dense = cols
-        return self._dense
+        """Materialized matrix, built column by column."""
+        cols = np.empty((self.dim, self.dim), dtype=np.complex128)
+        for j in range(self.dim):
+            cols[:, j] = self.apply(basis_state(self.dim, j))
+        return cols
 
     def dense_eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        """Cached full Hermitian eigendecomposition of the dense form."""
+        """Cached eigenvalues and complex eigenvectors (columns) of the dense form."""
         if self._dense_eigh is None:
             evals, evecs = np.linalg.eigh(self.to_dense())
-            self._dense_eigh = (evals, evecs)
+            self._dense_eigh = (evals, evecs.astype(np.complex128, copy=False))
         return self._dense_eigh
 
 
@@ -242,4 +239,5 @@ def exact_evolve_dense(
     if psi.shape != (hamiltonian.dim,):
         raise ValueError(f"state shape {psi.shape} does not match dim {hamiltonian.dim}")
     evals, evecs = hamiltonian.dense_eigh()
-    return evecs @ (np.exp(-1j * evals * t) * (evecs.conj().T @ psi))
+    # E^dagger psi as (psi^* E)^*, so that no call copies E.
+    return evecs @ (np.exp(-1j * evals * t) * (psi.conj() @ evecs).conj())

@@ -89,6 +89,22 @@ class TestConfigHandling:
         with pytest.raises(ValueError, match="unknown model"):
             ExperimentConfig(model="random").validate()
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            "regimes --model ising --n 6 --t-max inf",
+            "bounds --model ising --n 6 --t-max inf",
+            "toeplitz --n 10 --t-max inf",
+            "snapshots --model ising --n 6 --krylov-n 8 --times 0,nan",
+        ],
+        ids=["regimes", "bounds", "toeplitz", "snapshots"],
+    )
+    def test_non_finite_times_rejected(self, tmp_path, capsys, args):
+        out = tmp_path / "never.csv"
+        assert main(f"{args} --out {out}".split()) == 1
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestStateFiles:
     def test_round_trip_bit_exact(self, tmp_path, rng):
@@ -159,11 +175,23 @@ class TestRegimesCommand:
         assert "oracle" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_deterministic_output_bytes(self, tmp_path):
-        args = (
+    @pytest.mark.parametrize(
+        "args",
+        [
             "regimes --model goe --n 48 --krylov-n 10 --t-min 0 --t-max 3 "
-            "--points 7 --seed 5 --out {}"
-        )
+            "--points 7 --seed 5 --out {}",
+            "bounds --model goe --n 48 --krylov-n 10 --t-min 0 --t-max 3 --points 7 "
+            "--estimator extra_site_exact --estimator extra_site_averaged "
+            "--estimator extra_site_hybrid --estimator toeplitz_analytic "
+            "--estimator park_light --band --seed 5 --out {}",
+            "toeplitz --n 20 --n-prime 21 --alpha 0.5 --beta 1 --t-min 0 --t-max 30 "
+            "--points 7 --out {}",
+            "snapshots --model ising --n 6 --krylov-n 10 --times 0,1.5,3 "
+            "--profile-m 20 --seed 5 --out {}",
+        ],
+        ids=["regimes", "bounds", "toeplitz", "snapshots"],
+    )
+    def test_deterministic_output_bytes(self, tmp_path, args):
         out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert main(args.format(out_a).split()) == 0
         assert main(args.format(out_b).split()) == 0
@@ -288,6 +316,22 @@ class TestBoundsCommand:
         low = column(header, rows, "band_low")
         high = column(header, rows, "band_high")
         assert (low <= high).all()
+
+    def test_ratios_resolved_at_short_times(self, tmp_path):
+        # At these times the error lies far below 1e-16; the oracle and the
+        # echo estimators resolve it with the same residual form.
+        out = tmp_path / "bounds.csv"
+        rc = main(
+            "bounds --model ising --n 8 --krylov-n 16 --t-min 0.01 --t-max 0.2 "
+            "--points 5 --estimator extra_site_exact --estimator extra_site_hybrid "
+            f"--estimator park_light --seed 1 --out {out}".split()
+        )
+        assert rc == 0
+        _, header, rows = read_csv(out)
+        for name in header:
+            if name.startswith("ratio_"):
+                assert np.isfinite(column(header, rows, name)).all(), name
+        assert 0.5 <= column(header, rows, "ratio_extra_site_exact")[-1] <= 2.0
 
     def test_ratio_columns_track(self, tmp_path):
         out = tmp_path / "bounds.csv"

@@ -154,6 +154,15 @@ class TestTrueInfidelity:
         with pytest.raises(ValueError, match="mismatch"):
             true_infidelity(np.zeros(3, dtype=complex), np.zeros(4, dtype=complex))
 
+    def test_resolved_below_subtraction_floor(self):
+        # 1 - cos^2(theta) rounds to 0 at theta = 1e-9; the residual form
+        # resolves sin^2(theta) = 1e-18.
+        theta = 1e-9
+        approx = np.cos(theta) * basis_state(2, 0) + np.sin(theta) * basis_state(2, 1)
+        assert true_infidelity(approx, basis_state(2, 0)) == pytest.approx(
+            np.sin(theta) ** 2, rel=1e-6, abs=0.0
+        )
+
 
 class TestEchoIdentity:
     def test_infidelity_is_chain_echo(self):
