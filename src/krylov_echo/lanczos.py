@@ -32,6 +32,8 @@ class KrylovBasis:
     residual vector so a later extension can resume the recurrence exactly.
     ``breakdown`` marks that the residual vanished: the stored span is an
     invariant subspace and evolution inside it is exact from then on.
+    ``vectors`` leads ``buffer``, where a fresh basis keeps one spare row
+    that :func:`extend_one` fills in place instead of copying the basis.
     """
 
     vectors: np.ndarray
@@ -41,6 +43,7 @@ class KrylovBasis:
     source_dim: int
     source_norm: float
     residual: np.ndarray | None = field(default=None, repr=False)
+    buffer: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def size(self) -> int:
@@ -48,10 +51,10 @@ class KrylovBasis:
 
 
 def _reorthogonalize(w: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    # Two classical Gram-Schmidt passes keep the basis orthonormal at the
-    # 1e-14 level even for sizes in the hundreds.
+    # Two classical Gram-Schmidt passes keep the basis orthonormal at 1e-14 even
+    # for sizes in the hundreds. Conjugating w, not vecs, never copies the basis.
     for _ in range(2):
-        w = w - vecs.T @ (vecs.conj() @ w)
+        w = w - vecs.T @ (vecs @ w.conj()).conj()
     return w
 
 
@@ -115,7 +118,7 @@ def lanczos_iterate(hamiltonian: LinearOperator, psi: np.ndarray, n_steps: int) 
         raise ValueError("cannot build a Krylov basis from the zero state")
 
     dim = hamiltonian.dim
-    vecs = np.zeros((n_steps, dim), dtype=np.complex128)
+    vecs = np.zeros((min(n_steps + 1, dim), dim), dtype=np.complex128)
     alphas = np.zeros(n_steps)
     betas = np.zeros(max(n_steps - 1, 0))
 
@@ -128,17 +131,18 @@ def lanczos_iterate(hamiltonian: LinearOperator, psi: np.ndarray, n_steps: int) 
             vecs[j] = residual / beta
         alphas[j], beta, residual, scale = _recurrence_step(hamiltonian, vecs, j, beta, scale)
         if residual is None:
-            size = j + 1
+            vecs, size = vecs[: j + 1].copy(), j + 1
             break
 
     return KrylovBasis(
-        vectors=vecs[:size] if size == n_steps else vecs[:size].copy(),
+        vectors=vecs[:size],
         tridiag=SymmetricTridiagonal(alphas[:size], betas[: size - 1]),
         residual_beta=beta,
         breakdown=residual is None,
         source_dim=dim,
         source_norm=source_norm,
         residual=residual,
+        buffer=vecs,
     )
 
 
@@ -146,7 +150,9 @@ def extend_one(basis: KrylovBasis, hamiltonian: LinearOperator) -> KrylovBasis:
     """Grow the basis by one site, resuming the stored recurrence.
 
     Costs a single operator application and reproduces what
-    :func:`lanczos_iterate` with ``n_steps + 1`` would have produced.
+    :func:`lanczos_iterate` with ``n_steps + 1`` would have produced. It writes
+    the spare row of ``basis.buffer`` (the same values on every call) and shares
+    that memory; an extension has no spare row and is copied to grow.
     """
     if basis.breakdown:
         raise ValueError(
@@ -162,15 +168,19 @@ def extend_one(basis: KrylovBasis, hamiltonian: LinearOperator) -> KrylovBasis:
 
     beta = basis.residual_beta
     tri = basis.tridiag
-    vecs = np.vstack([basis.vectors, (basis.residual / beta)[None, :]])
+    buffer = basis.vectors if basis.buffer is None else basis.buffer
+    if buffer.shape[0] == tri.n:
+        buffer = np.vstack([buffer, np.empty_like(buffer[:1])])
+    buffer[tri.n] = basis.residual / beta
     scale = max(float(np.abs(tri.diag).max()), float(tri.offdiag.max(initial=beta)))
-    alpha, residual_beta, residual, _ = _recurrence_step(hamiltonian, vecs, tri.n, beta, scale)
+    alpha, residual_beta, residual, _ = _recurrence_step(hamiltonian, buffer, tri.n, beta, scale)
     return KrylovBasis(
-        vectors=vecs,
+        vectors=buffer[: tri.n + 1],
         tridiag=tri.append_site(alpha, beta),
         residual_beta=residual_beta,
         breakdown=residual is None,
         source_dim=basis.source_dim,
         source_norm=basis.source_norm,
         residual=residual,
+        buffer=buffer,
     )

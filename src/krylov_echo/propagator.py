@@ -53,7 +53,7 @@ def project_profile(basis: KrylovBasis, state: np.ndarray, time: float = 0.0) ->
         raise ValueError(
             f"state shape {state.shape} does not match source_dim {basis.source_dim}"
         )
-    amplitudes = basis.vectors.conj() @ state
+    amplitudes = (basis.vectors @ state.conj()).conj()
     return WavepacketProfile(np.abs(amplitudes) ** 2, float(time))
 
 
@@ -70,9 +70,13 @@ def true_infidelity(approx: np.ndarray, exact: np.ndarray) -> float:
     Computed as the residual ``||exact - approx<approx|exact>||^2``, whose
     floor is ~1e-30 instead of the ~1e-16 of the subtraction from 1. The echo
     estimators share the kernel, the shorter chain end state zero-padded.
+    Raises ``ValueError`` when either norm differs from 1 by more than 1e-8.
     """
     approx = np.asarray(approx, dtype=np.complex128)
     exact = np.asarray(exact, dtype=np.complex128)
     if approx.shape != exact.shape:
         raise ValueError(f"dimension mismatch: {approx.shape} vs {exact.shape}")
+    for norm in (np.linalg.norm(approx), np.linalg.norm(exact)):
+        if not abs(norm - 1.0) <= 1e-8:
+            raise ValueError(f"true_infidelity needs unit states, got norm {norm:.17g}")
     return _infidelity(approx, exact)

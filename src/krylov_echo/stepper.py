@@ -178,6 +178,7 @@ def evolve_adaptive(
             )
         )
         now += dt
+        del eval_fn, basis  # free this step's basis before the next one is built
 
     total = sum(step.estimated_error for step in steps)
     return EvolutionReport(

@@ -1,5 +1,7 @@
 """Lanczos recurrence: orthonormality, reduction, breakdown, extension."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -148,3 +150,59 @@ class TestExtendOne:
         basis = lanczos_iterate(op, random_state(2, 1), 2)
         with pytest.raises(ValueError):
             extend_one(basis, op)
+
+
+class TestCopyFree:
+    """The recurrence and the extension allocate about one basis, no more."""
+
+    def test_allocation_bounded_by_one_basis(self):
+        ham = ising_operator(IsingParams(12))
+        psi = random_state(ham.dim, 1)
+        n = 30
+        basis_bytes = n * ham.dim * 16
+        ham.apply(psi)  # pay any lazy operator set-up outside the measurement
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            basis = lanczos_iterate(ham, psi, n)
+            iterate_peak = tracemalloc.get_traced_memory()[1] - before
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            extend_one(basis, ham)
+            extend_peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        # Copying the basis (a conjugate per projection, a vstack per
+        # extension) measured 2.13x and 2.17x here.
+        assert iterate_peak <= 1.5 * basis_bytes
+        assert extend_peak <= 0.5 * basis_bytes
+
+    def test_extension_shares_memory(self):
+        ham = goe_sample(64, 1)
+        basis = lanczos_iterate(ham, random_state(64, 2), 10)
+        extended = extend_one(basis, ham)
+        assert np.shares_memory(extended.vectors, basis.vectors)
+        assert np.array_equal(extended.vectors[:10], basis.vectors)
+
+    def test_extending_twice_is_repeatable(self):
+        ham = goe_sample(64, 3)
+        basis = lanczos_iterate(ham, random_state(64, 4), 10)
+        first = extend_one(basis, ham)
+        kept = first.vectors.copy()
+        second = extend_one(basis, ham)
+        assert np.array_equal(first.vectors, kept)
+        assert np.array_equal(second.vectors, first.vectors)
+        assert np.array_equal(second.tridiag.diag, first.tridiag.diag)
+        assert np.array_equal(second.tridiag.offdiag, first.tridiag.offdiag)
+        assert second.residual_beta == first.residual_beta
+
+    def test_extension_of_extension_matches_longer_run(self):
+        ham = goe_sample(64, 5)
+        psi = random_state(64, 6)
+        twice = extend_one(extend_one(lanczos_iterate(ham, psi, 10), ham), ham)
+        direct = lanczos_iterate(ham, psi, 12)
+        assert twice.size == 12
+        assert np.abs(twice.tridiag.diag - direct.tridiag.diag).max() <= 1e-12
+        assert np.abs(twice.tridiag.offdiag - direct.tridiag.offdiag).max() <= 1e-12
+        assert twice.residual_beta == pytest.approx(direct.residual_beta, abs=1e-12)
+        assert np.abs(twice.vectors - direct.vectors).max() <= 1e-12

@@ -154,6 +154,18 @@ class TestTrueInfidelity:
         with pytest.raises(ValueError, match="mismatch"):
             true_infidelity(np.zeros(3, dtype=complex), np.zeros(4, dtype=complex))
 
+    def test_non_unit_states_rejected(self):
+        # The residual form assumes unit states; 2 e0 against itself would
+        # read 1.0 instead of 0.
+        unit = basis_state(4, 0)
+        for scale in (2.0, 0.5):
+            with pytest.raises(ValueError, match="unit"):
+                true_infidelity(scale * unit, scale * unit)
+            with pytest.raises(ValueError, match="unit"):
+                true_infidelity(unit, scale * unit)
+            with pytest.raises(ValueError, match="unit"):
+                true_infidelity(scale * unit, unit)
+
     def test_resolved_below_subtraction_floor(self):
         # 1 - cos^2(theta) rounds to 0 at theta = 1e-9; the residual form
         # resolves sin^2(theta) = 1e-18.

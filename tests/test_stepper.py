@@ -7,7 +7,7 @@ from krylov_echo import estimators, linalg
 from krylov_echo.estimators import ESTIMATOR_NAMES, estimate_toeplitz_analytic
 from krylov_echo.lanczos import lanczos_iterate
 from krylov_echo.linalg import DenseOperator, SymmetricTridiagonal, basis_state, exact_evolve_dense
-from krylov_echo.models import IsingParams, ising_operator, random_state
+from krylov_echo.models import IsingOperator, IsingParams, ising_operator, random_state
 from krylov_echo.propagator import true_infidelity
 from krylov_echo.stepper import (
     BudgetUnreachableError,
@@ -202,3 +202,20 @@ class TestEvolveAdaptive:
         report = evolve_adaptive(ham, random_state(ham.dim, 1), 20.0, 1e-8, 20, kind=kind)
         assert len(report.steps) >= 2
         assert len(calls) <= 40 * len(report.steps)
+
+    def test_extra_site_exact_applies_per_step(self, monkeypatch):
+        # N applies build each step's basis and one extends it; the step
+        # search and the map-back apply nothing.
+        calls = []
+        original = IsingOperator.apply
+
+        def counted(self, vec):
+            calls.append(1)
+            return original(self, vec)
+
+        monkeypatch.setattr(IsingOperator, "apply", counted)
+        ham = ising_operator(IsingParams(10))
+        n_krylov = 20
+        report = evolve_adaptive(ham, random_state(ham.dim, 1), 20.0, 1e-8, n_krylov)
+        assert len(report.steps) >= 2
+        assert len(calls) == (n_krylov + 1) * len(report.steps)
