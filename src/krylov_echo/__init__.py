@@ -16,6 +16,7 @@ from .estimators import (
     estimate_park_light,
     estimate_toeplitz_analytic,
     extra_site_band,
+    oracle_infidelities,
 )
 from .lanczos import KrylovBasis, extend_one, lanczos_iterate
 from .linalg import (

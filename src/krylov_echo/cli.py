@@ -21,8 +21,8 @@ from .estimators import (
     ESTIMATOR_NAMES,
     bind_estimator,
     echo_general,
-    estimate_oracle,
     extra_site_band,
+    oracle_infidelities,
 )
 from .lanczos import lanczos_iterate
 from .linalg import (
@@ -30,6 +30,7 @@ from .linalg import (
     DenseOperator,
     LinearOperator,
     SymmetricTridiagonal,
+    _dense_oracle,
     basis_state,
     exact_evolve_dense,
     expi_tridiagonal_apply,
@@ -245,9 +246,7 @@ def cmd_regimes(cfg: ExperimentConfig) -> None:
     hamiltonian, psi = build_model(cfg)
     basis = lanczos_iterate(hamiltonian, psi, min(cfg.krylov_n, hamiltonian.dim))
     ts = _grid(cfg)
-    errors = np.array(
-        [estimate_oracle(basis, hamiltonian, t, cap=cfg.oracle_cap).value for t in ts]
-    )
+    errors = oracle_infidelities(basis, hamiltonian, ts, cap=cfg.oracle_cap)
     echoes = 1.0 - errors
     t_exp, t_col = measure_regime_times(ts, errors, echoes)
     comments = _config_comments(
@@ -273,14 +272,14 @@ def cmd_snapshots(cfg: ExperimentConfig) -> None:
     basis = lanczos_iterate(hamiltonian, psi, profile_m)
     reduced = basis.tridiag.prefix(min(cfg.krylov_n, basis.size))
     rows = []
-    for t in cfg.times:
-        exact = exact_evolve_dense(hamiltonian, psi, t, cap=cfg.oracle_cap)
-        pop_exact = project_profile(basis, exact, t).site_populations
-        coeffs = expi_tridiagonal_apply(reduced, t, basis_state(reduced.n))
-        pop_krylov = np.zeros(basis.size)
-        pop_krylov[: reduced.n] = np.abs(coeffs) ** 2
-        for site in range(basis.size):
-            rows.append((float(t), site, float(pop_exact[site]), float(pop_krylov[site])))
+    for start, states in _dense_oracle(hamiltonian, psi, cfg.times, cap=cfg.oracle_cap):
+        for t, exact in zip(cfg.times[start:], states):
+            pop_exact = project_profile(basis, exact, t).site_populations
+            coeffs = expi_tridiagonal_apply(reduced, t, basis_state(reduced.n))
+            pop_krylov = np.zeros(basis.size)
+            pop_krylov[: reduced.n] = np.abs(coeffs) ** 2
+            for site in range(basis.size):
+                rows.append((float(t), site, float(pop_exact[site]), float(pop_krylov[site])))
     comments = _config_comments(
         cfg, ("model", "n", "krylov_n", "profile_m", "times", "seed")
     )
@@ -301,9 +300,9 @@ def cmd_bounds(cfg: ExperimentConfig) -> None:
     header += [f"ratio_{name}" for name in cfg.estimators]
     if cfg.band:
         header += ["band_low", "band_high"]
+    oracles = oracle_infidelities(basis, hamiltonian, ts, cap=cfg.oracle_cap)
     rows = []
-    for t in ts:
-        oracle = estimate_oracle(basis, hamiltonian, t, cap=cfg.oracle_cap).value
+    for t, oracle in zip(ts, oracles):
         estimates = [estimator_fns[name](t) for name in cfg.estimators]
         with np.errstate(divide="ignore", invalid="ignore"):
             ratios = [float(np.divide(est, oracle)) for est in estimates]

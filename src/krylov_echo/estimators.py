@@ -25,11 +25,11 @@ from .linalg import (
     DEFAULT_ORACLE_CAP,
     LinearOperator,
     SymmetricTridiagonal,
+    _dense_oracle,
     basis_state,
-    exact_evolve_dense,
     expi_tridiagonal_apply,
 )
-from .propagator import _infidelity, krylov_evolve, true_infidelity
+from .propagator import _infidelity, krylov_evolve
 from .toeplitz import toeplitz_end_state
 
 __all__ = [
@@ -46,6 +46,7 @@ __all__ = [
     "estimate_park_light",
     "estimate_toeplitz_analytic",
     "extra_site_band",
+    "oracle_infidelities",
 ]
 
 ORACLE = "oracle"
@@ -226,6 +227,30 @@ def extra_site_band(basis: KrylovBasis, t: float) -> tuple[float, float]:
     return min(values), max(values)
 
 
+def oracle_infidelities(
+    basis: KrylovBasis,
+    hamiltonian: LinearOperator,
+    ts,
+    *,
+    cap: int = DEFAULT_ORACLE_CAP,
+) -> np.ndarray:
+    """True infidelity of the Krylov evolution at each of ``ts`` (verification only).
+
+    The dense oracle forms the exact states a block of times at a time;
+    each is compared with the Krylov state through the infidelity kernel of
+    :func:`krylov_echo.propagator.true_infidelity`. ``ts`` must be a 1-D
+    array of finite times.
+    """
+    blocks = _dense_oracle(hamiltonian, basis.vectors[0], ts, cap=cap)
+    ts = np.asarray(ts, dtype=float)
+    values = np.empty(ts.size)
+    for start, exact in blocks:
+        for j, state in enumerate(exact, start):
+            approx = krylov_evolve(basis, ts[j]) / basis.source_norm
+            values[j] = _infidelity(approx, state)
+    return values
+
+
 def estimate_oracle(
     basis: KrylovBasis,
     hamiltonian: LinearOperator,
@@ -233,10 +258,9 @@ def estimate_oracle(
     *,
     cap: int = DEFAULT_ORACLE_CAP,
 ) -> ErrorEstimate:
-    """True infidelity against the dense evolution oracle (verification only)."""
-    exact = exact_evolve_dense(hamiltonian, basis.vectors[0], t, cap=cap)
-    approx = krylov_evolve(basis, t) / basis.source_norm
-    return ErrorEstimate(true_infidelity(approx, exact), float(t), ORACLE)
+    """True infidelity against the dense evolution oracle at one time (verification only)."""
+    value = float(oracle_infidelities(basis, hamiltonian, [t], cap=cap)[0])
+    return ErrorEstimate(value, float(t), ORACLE)
 
 
 def bind_estimator(

@@ -10,6 +10,7 @@ carry their own cached spectral decomposition, which makes repeated
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -30,6 +31,8 @@ __all__ = [
 
 # The dense evolution oracle refuses dimensions above this unless overridden.
 DEFAULT_ORACLE_CAP = 4096
+# Size of one block of exact states the oracle forms at once.
+_ORACLE_BLOCK_BYTES = 1 << 20
 
 
 def inner(u: np.ndarray, v: np.ndarray) -> complex:
@@ -163,7 +166,9 @@ class LinearOperator:
     Subclasses implement :meth:`apply`. The operator must be linear and
     Hermitian; shared state is read-only after construction, so concurrent
     applies on distinct vectors are safe. ``to_dense``/``dense_eigh`` exist
-    for verification at modest dimensions; only ``dense_eigh`` memoizes.
+    for verification at modest dimensions; only ``dense_eigh`` memoizes. A
+    real operator stays real there: its dense form is float64 and so are
+    its eigenvectors.
     """
 
     def __init__(self, dim: int):
@@ -176,17 +181,27 @@ class LinearOperator:
         raise NotImplementedError
 
     def to_dense(self) -> np.ndarray:
-        """Materialized matrix, built column by column."""
-        cols = np.empty((self.dim, self.dim), dtype=np.complex128)
+        """Materialized matrix, built column by column; float64 while every column is real."""
+        dense = np.empty((self.dim, self.dim))
         for j in range(self.dim):
-            cols[:, j] = self.apply(basis_state(self.dim, j))
-        return cols
+            col = self.apply(basis_state(self.dim, j))
+            if np.isrealobj(dense) and col.imag.any():
+                dense = dense.astype(np.complex128)
+            dense[:, j] = col if np.iscomplexobj(dense) else col.real
+        return dense
 
     def dense_eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        """Cached eigenvalues and complex eigenvectors (columns) of the dense form."""
+        """Cached eigenvalues and eigenvectors (columns) of the dense form.
+
+        An all-real dense form gets one real ``eigh`` and float64
+        eigenvectors; only a matrix with a nonzero imaginary part gets
+        complex128 ones.
+        """
         if self._dense_eigh is None:
-            evals, evecs = np.linalg.eigh(self.to_dense())
-            self._dense_eigh = (evals, evecs.astype(np.complex128, copy=False))
+            dense = self.to_dense()
+            if np.iscomplexobj(dense) and not dense.imag.any():
+                dense = dense.real
+            self._dense_eigh = tuple(np.linalg.eigh(dense))
         return self._dense_eigh
 
 
@@ -197,11 +212,7 @@ class DenseOperator(LinearOperator):
         matrix = np.asarray(matrix)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or matrix.size == 0:
             raise ValueError("a nonempty square matrix is required")
-        scale = float(np.abs(matrix).max()) or 1.0
-        if not np.isfinite(scale):
-            raise ValueError("matrix has NaN or inf entries")
-        if float(np.abs(matrix - matrix.conj().T).max()) > 1e-12 * scale:
-            raise ValueError("matrix is not Hermitian")
+        _check_hermitian(matrix)
         super().__init__(matrix.shape[0])
         dtype = np.complex128 if np.iscomplexobj(matrix) else np.float64
         self.matrix = np.ascontiguousarray(matrix, dtype=dtype)
@@ -216,6 +227,78 @@ class DenseOperator(LinearOperator):
         return self.matrix
 
 
+def _check_hermitian(matrix: np.ndarray) -> None:
+    """Reject non-finite or non-Hermitian matrices, in one scratch matrix.
+
+    The scratch holds ``|A|`` for the scale, then ``|A - A^dagger|``, so the
+    check costs one matrix of memory, not one per temporary.
+    """
+    scratch = np.empty_like(matrix, dtype=np.result_type(matrix, float))
+    scale = float(np.abs(matrix, out=scratch).real.max()) or 1.0
+    if not np.isfinite(scale):
+        raise ValueError("matrix has NaN or inf entries")
+    np.conjugate(matrix.T, out=scratch)
+    np.subtract(matrix, scratch, out=scratch)
+    if float(np.abs(scratch, out=scratch).real.max()) > 1e-12 * scale:
+        raise ValueError("matrix is not Hermitian")
+
+
+def _dense_oracle(
+    hamiltonian: LinearOperator,
+    psi: np.ndarray,
+    ts,
+    *,
+    cap: int = DEFAULT_ORACLE_CAP,
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Exact states ``exp(-i H t) psi`` over a 1-D array of times, in blocks.
+
+    Yields ``(start, states)`` with ``states[j]`` the state at
+    ``ts[start + j]``; the input is checked, and ``hamiltonian``
+    diagonalized (cached on the operator), before the first block. Each
+    block holds about ``_ORACLE_BLOCK_BYTES`` of states, so no times-by-dim
+    array is ever formed. With ``E`` the eigenvectors and ``c = E^dagger
+    psi``, a block is ``E (exp(-i lambda t) c)`` over its times: for real
+    ``E`` one real GEMM on the float64 view of the complex columns, so ``E``
+    is never cast to complex.
+    """
+    if hamiltonian.dim > cap:
+        raise ValueError(
+            f"dense oracle refused: dimension {hamiltonian.dim} exceeds cap {cap}; "
+            "the oracle exists for verification, not production evolution"
+        )
+    psi = np.ascontiguousarray(psi, dtype=np.complex128)
+    if psi.shape != (hamiltonian.dim,):
+        raise ValueError(f"state shape {psi.shape} does not match dim {hamiltonian.dim}")
+    ts = np.asarray(ts, dtype=float)
+    if ts.ndim != 1:
+        raise ValueError(f"oracle times must be a 1-D array, got shape {ts.shape}")
+    if not np.isfinite(ts).all():
+        raise ValueError("oracle times must be finite")
+    evals, evecs = hamiltonian.dense_eigh()
+    real = np.isrealobj(evecs)
+    if real:
+        # E^T psi on the (re, im) pairs of psi: one real product, E uncast.
+        coeffs = (evecs.T @ psi.view(np.float64).reshape(-1, 2)).view(np.complex128)[:, 0]
+    else:
+        # E^dagger psi as (psi^* E)^*, so that no call copies E.
+        coeffs = (psi.conj() @ evecs).conj()
+    rates = -1j * evals
+    chunk = max(1, _ORACLE_BLOCK_BYTES // (16 * hamiltonian.dim))
+    for start in range(0, ts.size, chunk):
+        block = np.multiply.outer(rates, ts[start : start + chunk])
+        np.exp(block, out=block)
+        block *= coeffs[:, None]
+        # Each intermediate is dropped once the next exists, so a block costs
+        # two block-sized arrays at a time, on top of the one being consumed.
+        if real:
+            block = (evecs @ block.view(np.float64)).view(np.complex128)
+        else:
+            block = evecs @ block
+        states = np.ascontiguousarray(block.T)
+        del block
+        yield start, states
+
+
 def exact_evolve_dense(
     hamiltonian: LinearOperator,
     psi: np.ndarray,
@@ -226,18 +309,11 @@ def exact_evolve_dense(
     """Evolve ``psi`` under ``exp(-i H t)`` via full eigendecomposition.
 
     This is the verification oracle: exact up to eigensolver accuracy, with
-    O(dim^3) setup (cached on the operator) and O(dim^2) per call. It refuses
-    dimensions above ``cap`` so production paths cannot lean on it by
-    accident.
+    O(dim^3) setup (cached on the operator) and O(dim^2) per call, in real
+    arithmetic for a real operator. It is the one-time case of the oracle
+    kernel that sweeps evaluate over blocks of times. It refuses dimensions
+    above ``cap`` so production paths cannot lean on it by accident, and
+    non-finite ``t``.
     """
-    if hamiltonian.dim > cap:
-        raise ValueError(
-            f"dense oracle refused: dimension {hamiltonian.dim} exceeds cap {cap}; "
-            "the oracle exists for verification, not production evolution"
-        )
-    psi = np.asarray(psi, dtype=np.complex128)
-    if psi.shape != (hamiltonian.dim,):
-        raise ValueError(f"state shape {psi.shape} does not match dim {hamiltonian.dim}")
-    evals, evecs = hamiltonian.dense_eigh()
-    # E^dagger psi as (psi^* E)^*, so that no call copies E.
-    return evecs @ (np.exp(-1j * evals * t) * (psi.conj() @ evecs).conj())
+    ((_, states),) = _dense_oracle(hamiltonian, psi, [t], cap=cap)
+    return states[0]

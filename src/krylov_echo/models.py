@@ -44,6 +44,8 @@ class IsingParams:
     def __post_init__(self):
         if self.n_spins < 2:
             raise ValueError("n_spins must be >= 2")
+        if not np.isfinite([self.J, self.h_x, self.h_z]).all():
+            raise ValueError("J, h_x and h_z must be finite")
 
 
 class IsingOperator(LinearOperator):
@@ -100,15 +102,24 @@ def goe_sample(dim: int, seed: int) -> DenseOperator:
     _check_ensemble_dim(dim)
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((dim, dim))
-    return DenseOperator((g + g.T) / 2.0)
+    sym = g + g.T
+    del g  # hold at most two matrices at once
+    sym /= 2.0
+    return DenseOperator(sym)
 
 
 def gue_sample(dim: int, seed: int) -> DenseOperator:
     """Hermitian (G + G^dagger)/2 with complex standard normal G."""
     _check_ensemble_dim(dim)
     rng = np.random.default_rng(seed)
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return DenseOperator((g + g.conj().T) / 2.0)
+    g = np.empty((dim, dim), dtype=np.complex128)
+    g.real = rng.standard_normal((dim, dim))
+    g.imag = rng.standard_normal((dim, dim))
+    herm = np.conjugate(g.T, order="C")
+    herm += g
+    del g  # hold at most two matrices at once
+    herm /= 2.0
+    return DenseOperator(herm)
 
 
 def random_state(dim: int, seed: int) -> np.ndarray:

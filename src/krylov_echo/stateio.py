@@ -12,10 +12,15 @@ MAGIC = b"KRYV1"
 
 
 def write_state(path, state: np.ndarray) -> None:
-    """Write a complex state vector; round-trips bit-exactly."""
+    """Write a finite complex state vector; round-trips bit-exactly.
+
+    A state with NaN or inf entries is rejected before the file is opened.
+    """
     state = np.ascontiguousarray(state, dtype=np.complex128)
     if state.ndim != 1:
         raise ValueError("state must be a 1-D vector")
+    if not np.isfinite(state).all():
+        raise ValueError("state has NaN or inf entries")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<Q", state.size))

@@ -114,11 +114,12 @@ def max_step_for_tolerance(
     ``extra_site_exact`` pass ``hamiltonian`` so the basis can be extended.
     Returns ``t_cap`` when the estimator never exceeds the budget, and
     raises :class:`BudgetUnreachableError` when even the minimum step does.
+    ``t_cap`` must be positive and finite.
     """
     if not 0.0 < budget:
         raise ValueError("budget must be positive")
-    if t_cap <= 0.0:
-        raise ValueError("t_cap must be positive")
+    if not 0.0 < t_cap < np.inf:
+        raise ValueError("t_cap must be positive and finite")
     if budget >= 1.0:
         return t_cap
     eval_fn = bind_estimator(kind, basis, hamiltonian)

@@ -122,6 +122,14 @@ class TestStateFiles:
         assert raw[:5] == b"KRYV1"
         assert int.from_bytes(raw[5:13], "little") == 1
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_non_finite_state_rejected_before_writing(self, tmp_path, bad):
+        path = tmp_path / "never.kryv"
+        state = np.array([1.0, bad, 0.0], dtype=complex)
+        with pytest.raises(ValueError, match="NaN or inf"):
+            write_state(path, state)
+        assert not path.exists()
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.kryv"
         path.write_bytes(b"NOPE!" + b"\x00" * 24)
@@ -457,6 +465,28 @@ class TestMainEntry:
         ham, psi = build_model(ExperimentConfig(model="gue", n=24, seed=3))
         assert ham.dim == 24
         assert abs(np.linalg.norm(psi) - 1.0) <= 1e-14
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            "regimes --model ising --n 6 --krylov-n 10 --t-max 4 --points 300",
+            "bounds --model goe --n 64 --krylov-n 10 --t-max 2 --points 200 --band",
+            "evolve --model ising --n 6 --krylov-n 10 --t-final 5",
+        ],
+        ids=["regimes", "bounds", "evolve"],
+    )
+    def test_one_dense_eigensolve_per_run(self, tmp_path, monkeypatch, args):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(matrix, *rest, **kwargs):
+            calls.append(matrix.dtype)
+            return eigh(matrix, *rest, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        out = tmp_path / "run.csv"
+        assert main(f"{args} --out {out}".split()) == 0
+        assert calls == [np.float64]
 
     def test_measure_regime_times_shapes(self):
         ts = np.linspace(0, 1, 11)

@@ -1,12 +1,17 @@
 """Core kernel: inner products, tridiagonal spectra, propagators, dense oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from krylov_echo.estimators import oracle_infidelities
+from krylov_echo.lanczos import lanczos_iterate
 from krylov_echo.linalg import (
     DenseOperator,
     SymmetricTridiagonal,
+    _dense_oracle,
     basis_state,
     eig_sym_tridiagonal,
     exact_evolve_dense,
@@ -14,6 +19,8 @@ from krylov_echo.linalg import (
     inner,
     normalized,
 )
+from krylov_echo.models import IsingParams, goe_sample, gue_sample, ising_operator, random_state
+from krylov_echo.propagator import krylov_evolve, true_infidelity
 
 
 def random_tridiagonal(n, rng):
@@ -151,6 +158,94 @@ class TestExactEvolveDense:
         op = DenseOperator(np.eye(8))
         with pytest.raises(ValueError, match="oracle"):
             exact_evolve_dense(op, basis_state(8), 1.0, cap=4)
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    def test_non_finite_time_rejected(self, t):
+        op = DenseOperator(np.eye(4))
+        with pytest.raises(ValueError, match="finite"):
+            exact_evolve_dense(op, basis_state(4), t)
+
+
+MODELS = {
+    "ising": lambda: ising_operator(IsingParams(8)),
+    "goe": lambda: goe_sample(256, 5),
+    "gue": lambda: gue_sample(256, 6),
+}
+
+
+class TestDenseOracle:
+    @pytest.mark.parametrize(
+        "name, dtype", [("ising", np.float64), ("goe", np.float64), ("gue", np.complex128)]
+    )
+    def test_eigenvectors_real_for_real_operators(self, name, dtype):
+        evals, evecs = MODELS[name]().dense_eigh()
+        assert evals.dtype == np.float64
+        assert evecs.dtype == dtype
+
+    def test_real_matrix_stored_as_complex_gets_real_eigenvectors(self):
+        op = DenseOperator(np.array([[1.0, 2.0], [2.0, -1.0]], dtype=np.complex128))
+        assert op.dense_eigh()[1].dtype == np.float64
+
+    def test_matrix_free_real_operator_builds_real_dense_form(self):
+        assert ising_operator(IsingParams(4)).to_dense().dtype == np.float64
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_blocks_match_per_time_oracle(self, name):
+        ham = MODELS[name]()
+        psi = random_state(ham.dim, 7)
+        # t = 0 first, and more than two blocks of times at this dimension.
+        ts = np.concatenate([[0.0], np.linspace(0.01, 30.0, 600)])
+        sizes, worst = [], 0.0
+        for start, states in _dense_oracle(ham, psi, ts):
+            sizes.append(len(states))
+            for j, state in enumerate(states, start):
+                worst = max(worst, np.abs(state - exact_evolve_dense(ham, psi, ts[j])).max())
+        assert sum(sizes) == ts.size and len(sizes) > 2
+        assert worst <= 1e-14
+        assert np.abs(exact_evolve_dense(ham, psi, 0.0) - psi).max() <= 1e-14
+
+        basis = lanczos_iterate(ham, psi, 12)
+        batched = oracle_infidelities(basis, ham, ts)
+        per_time = [
+            true_infidelity(krylov_evolve(basis, t), exact_evolve_dense(ham, psi, t)) for t in ts
+        ]
+        assert np.abs(batched - per_time).max() <= 1e-14
+        assert batched[0] <= 1e-28
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_against_matrix_exponential(self, name):
+        ham = MODELS[name]()
+        psi = random_state(ham.dim, 8)
+        ts = [0.3, 2.5]
+        dense = ham.to_dense()
+        for _, states in _dense_oracle(ham, psi, ts):
+            for t, state in zip(ts, states):
+                assert np.abs(state - expm(-1j * t * dense) @ psi).max() <= 1e-11
+
+    def test_sweep_never_holds_a_times_by_dim_array(self):
+        ham = ising_operator(IsingParams(10))
+        psi = random_state(ham.dim, 1)
+        basis = lanczos_iterate(ham, psi, 30)
+        ham.dense_eigh()
+        ts = np.linspace(0.0, 6.0, 481)
+        tracemalloc.start()
+        try:
+            oracle_infidelities(basis, ham, ts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Not even half of one complex times-by-dim array.
+        assert peak < ts.size * ham.dim * 16 / 2
+
+    def test_times_checked_before_any_work(self):
+        ham = goe_sample(16, 1)
+        psi = random_state(16, 2)
+        basis = lanczos_iterate(ham, psi, 4)
+        with pytest.raises(ValueError, match="finite"):
+            oracle_infidelities(basis, ham, [0.0, 1.0, np.nan])
+        with pytest.raises(ValueError, match="1-D"):
+            oracle_infidelities(basis, ham, np.zeros((2, 2)))
+        assert ham._dense_eigh is None
 
 
 class TestOperators:

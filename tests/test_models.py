@@ -1,5 +1,7 @@
 """Model Hamiltonians: bitwise Ising, random-matrix ensembles, random states."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,12 @@ class TestIsingOperator:
         rhs = a * ham.apply(u) + b * ham.apply(v)
         assert np.abs(lhs - rhs).max() <= 1e-12 * np.abs(lhs).max()
 
+    @pytest.mark.parametrize("field", ["J", "h_x", "h_z"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameters_rejected(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            IsingParams(4, **{field: value})
+
     def test_caps(self):
         with pytest.raises(ValueError, match=">= 2"):
             IsingParams(1)
@@ -67,6 +75,26 @@ class TestEnsembles:
         a = goe_sample(32, 7)
         b = goe_sample(32, 7)
         assert np.array_equal(a.matrix, b.matrix)
+
+    def test_samples_match_the_textbook_formula_bit_for_bit(self):
+        rng = np.random.default_rng(9)
+        g = rng.standard_normal((48, 48))
+        assert goe_sample(48, 9).matrix.tobytes() == ((g + g.T) / 2.0).tobytes()
+        rng = np.random.default_rng(9)
+        g = rng.standard_normal((48, 48)) + 1j * rng.standard_normal((48, 48))
+        assert gue_sample(48, 9).matrix.tobytes() == ((g + g.conj().T) / 2.0).tobytes()
+
+    @pytest.mark.parametrize("sample, itemsize", [(goe_sample, 8), (gue_sample, 16)])
+    def test_construction_peak_is_two_matrices(self, sample, itemsize):
+        dim = 256
+        tracemalloc.start()
+        try:
+            sample(dim, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The sample plus one draw or check buffer; no full-size temporaries.
+        assert peak <= 2.25 * dim * dim * itemsize
 
     def test_goe_exactly_symmetric(self):
         mat = goe_sample(64, 1).matrix

@@ -63,6 +63,12 @@ class TestMaxStep:
         with pytest.raises(ValueError, match="t_cap"):
             max_step_for_tolerance(basis, 0.5, "toeplitz_analytic", t_cap=0.0)
 
+    @pytest.mark.parametrize("t_cap", [np.nan, np.inf])
+    def test_non_finite_t_cap_rejected(self, t_cap):
+        basis = homogeneous_basis(5)
+        with pytest.raises(ValueError, match="finite"):
+            max_step_for_tolerance(basis, 1e-8, "toeplitz_analytic", t_cap=t_cap)
+
 
 class TestEvolveAdaptive:
     def test_eigenvector_takes_single_exact_step(self):
