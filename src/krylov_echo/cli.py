@@ -31,12 +31,12 @@ from .linalg import (
     LinearOperator,
     SymmetricTridiagonal,
     _dense_oracle,
+    _end_states,
     basis_state,
     exact_evolve_dense,
-    expi_tridiagonal_apply,
 )
 from .models import IsingParams, goe_sample, gue_sample, ising_operator, random_state
-from .propagator import project_profile, true_infidelity
+from .propagator import true_infidelity
 from .stateio import write_state
 from .stepper import evolve_adaptive
 from .toeplitz import toeplitz_echo
@@ -271,15 +271,19 @@ def cmd_snapshots(cfg: ExperimentConfig) -> None:
         )
     basis = lanczos_iterate(hamiltonian, psi, profile_m)
     reduced = basis.tridiag.prefix(min(cfg.krylov_n, basis.size))
-    rows = []
-    for start, states in _dense_oracle(hamiltonian, psi, cfg.times, cap=cfg.oracle_cap):
-        for t, exact in zip(cfg.times[start:], states):
-            pop_exact = project_profile(basis, exact, t).site_populations
-            coeffs = expi_tridiagonal_apply(reduced, t, basis_state(reduced.n))
-            pop_krylov = np.zeros(basis.size)
-            pop_krylov[: reduced.n] = np.abs(coeffs) ** 2
-            for site in range(basis.size):
-                rows.append((float(t), site, float(pop_exact[site]), float(pop_krylov[site])))
+    times = np.asarray(cfg.times, dtype=float)
+    pop_krylov = np.zeros((times.size, basis.size))
+    pop_krylov[:, : reduced.n] = np.abs(_end_states(reduced.eigen(), times)) ** 2
+    pop_exact = np.empty_like(pop_krylov)
+    for start, states in _dense_oracle(hamiltonian, psi, times, cap=cfg.oracle_cap):
+        # |<v_i|state>|^2 on every stored site, as project_profile forms it for one state.
+        pop_exact[start : start + len(states)] = np.abs(states.conj() @ basis.vectors.T) ** 2
+    rows = zip(
+        np.repeat(times, basis.size),
+        np.tile(np.arange(basis.size), times.size),
+        pop_exact.ravel(),
+        pop_krylov.ravel(),
+    )
     comments = _config_comments(
         cfg, ("model", "n", "krylov_n", "profile_m", "times", "seed")
     )
@@ -301,16 +305,13 @@ def cmd_bounds(cfg: ExperimentConfig) -> None:
     if cfg.band:
         header += ["band_low", "band_high"]
     oracles = oracle_infidelities(basis, hamiltonian, ts, cap=cfg.oracle_cap)
-    rows = []
-    for t, oracle in zip(ts, oracles):
-        estimates = [estimator_fns[name](t) for name in cfg.estimators]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = [float(np.divide(est, oracle)) for est in estimates]
-        row = [float(t), oracle, *estimates, *ratios]
-        if cfg.band:
-            low, high = extra_site_band(basis, t)
-            row += [low, high]
-        rows.append(tuple(row))
+    estimates = [estimator_fns[name](ts) for name in cfg.estimators]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = [est / oracles for est in estimates]
+    columns = [ts, oracles, *estimates, *ratios]
+    if cfg.band:
+        columns += extra_site_band(basis, ts)
+    rows = zip(*columns)
     comments = _config_comments(
         cfg,
         ("model", "n", "J", "h_x", "h_z", "krylov_n", "t_min", "t_max", "points", "seed", "estimators", "band"),
@@ -324,11 +325,10 @@ def cmd_toeplitz(cfg: ExperimentConfig) -> None:
     n_prime = cfg.n_prime or n_sites + 1
     tri_a = SymmetricTridiagonal(np.full(n_sites, cfg.alpha), np.full(n_sites - 1, cfg.beta))
     tri_b = SymmetricTridiagonal(np.full(n_prime, cfg.alpha), np.full(n_prime - 1, cfg.beta))
-    rows = []
-    for t in _grid(cfg):
-        analytic = abs(toeplitz_echo(n_sites, n_prime, cfg.alpha, cfg.beta, t)) ** 2
-        numeric = abs(echo_general(tri_a, tri_b, t)) ** 2
-        rows.append((float(t), analytic, numeric, abs(analytic - numeric)))
+    ts = _grid(cfg)
+    analytic = np.abs(toeplitz_echo(n_sites, n_prime, cfg.alpha, cfg.beta, ts)) ** 2
+    numeric = np.abs(echo_general(tri_a, tri_b, ts)) ** 2
+    rows = zip(ts, analytic, numeric, np.abs(analytic - numeric))
     comments = _config_comments(
         cfg, ("n", "n_prime", "alpha", "beta", "t_min", "t_max", "points")
     )

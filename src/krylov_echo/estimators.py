@@ -8,8 +8,10 @@ cost, and the extra site's coefficients can themselves be estimated from
 the history of the recurrence, or handled in closed form when the chain is
 treated as homogeneous.
 
-Echo estimators return ``1 - |echo|^2`` of two chain end states through the
-kernel of :func:`krylov_echo.propagator.true_infidelity`, resolving ~1e-30.
+Every echo estimator picks a truncated and a reference chain and returns
+``1 - |echo|^2`` of their end states through the kernel of
+:func:`krylov_echo.propagator.true_infidelity`. Functions of time take a
+scalar ``t`` or a 1-D array; the two agree to about ``2 sqrt(eps) u``.
 """
 
 from __future__ import annotations
@@ -25,12 +27,15 @@ from .linalg import (
     DEFAULT_ORACLE_CAP,
     LinearOperator,
     SymmetricTridiagonal,
+    TridiagonalEigen,
     _dense_oracle,
-    basis_state,
-    expi_tridiagonal_apply,
+    _over_chains,
+    _overlaps,
+    _per_time,
+    _times,
 )
 from .propagator import _infidelity, krylov_evolve
-from .toeplitz import toeplitz_end_state
+from .toeplitz import _toeplitz_eigen
 
 __all__ = [
     "AveragedCoefficients",
@@ -69,10 +74,10 @@ ESTIMATOR_NAMES = (
 
 @dataclass(frozen=True)
 class ErrorEstimate:
-    """A time-stamped infidelity estimate produced by one estimator kind."""
+    """A time-stamped infidelity estimate of one kind; arrays for an array of times."""
 
-    value: float
-    time: float
+    value: float | np.ndarray
+    time: float | np.ndarray
     kind: str
 
 
@@ -88,36 +93,38 @@ class AveragedCoefficients:
 class BoundEstimator:
     """``eps(t)`` of one estimator kind on one basis, and the basis a step advances in.
 
-    For ``extra_site_exact`` that is the one-site extension: already paid
-    for, and covered by the recorded truncation estimate.
+    ``t`` is a scalar or a 1-D array. For ``extra_site_exact`` the basis is
+    the one-site extension: already paid for, and covered by the estimate.
     """
 
-    evaluate: Callable[[float], float]
+    evaluate: Callable
     basis: KrylovBasis
 
-    def __call__(self, t: float) -> float:
+    def __call__(self, t):
         return self.evaluate(t)
 
 
-def _chain_state(tri: SymmetricTridiagonal, t: float) -> np.ndarray:
-    return expi_tridiagonal_apply(tri, t, basis_state(tri.n))
+def _estimate(kind: str, t, reduce, *chains: TridiagonalEigen) -> ErrorEstimate:
+    """``reduce`` of the chains' end states, per time of ``t``, as an estimate of ``kind``."""
+    value = _over_chains(reduce, t, *chains)
+    return ErrorEstimate(value, _per_time(t, np.array(t, dtype=float, ndmin=1)), kind)
 
 
-def echo_general(
-    tri_a: SymmetricTridiagonal, tri_b: SymmetricTridiagonal, t: float
-) -> complex:
+def _zero(t):
+    """The exactly-zero estimate of a breakdown basis, per time of ``t``."""
+    return _per_time(t, np.zeros(_times(t).size))
+
+
+def echo_general(tri_a: SymmetricTridiagonal, tri_b: SymmetricTridiagonal, t):
     """Echo amplitude ``<0| exp(+i A t) exp(-i B t) |0>`` between two chains.
 
     Both chains are implicitly zero-padded to the common size; because the
     padding carries no onsite energy and no coupling, each evolution stays
     inside its own chain and the echo reduces to an inner product of the two
-    propagated end states. Cost is O(size^2) per call once the tridiagonal
-    eigendecompositions are cached.
+    propagated end states, O(size^2) per time once the eigendecompositions
+    are cached.
     """
-    state_a = _chain_state(tri_a, t)
-    state_b = _chain_state(tri_b, t)
-    k = min(state_a.size, state_b.size)
-    return complex(np.vdot(state_a[:k], state_b[:k]))
+    return _over_chains(_overlaps, t, tri_a.eigen(), tri_b.eigen())
 
 
 def _coupling_history(basis: KrylovBasis) -> np.ndarray:
@@ -145,7 +152,7 @@ def _require_history(basis: KrylovBasis) -> None:
         raise ValueError("estimator needs a basis of size >= 2 (no history to average)")
 
 
-def estimate_extra_site_exact(extended: KrylovBasis, t: float) -> ErrorEstimate:
+def estimate_extra_site_exact(extended: KrylovBasis, t) -> ErrorEstimate:
     """Error estimate from one exactly known extra chain site.
 
     ``extended`` must be the (N+1)-site basis produced by
@@ -154,16 +161,13 @@ def estimate_extra_site_exact(extended: KrylovBasis, t: float) -> ErrorEstimate:
     its evolution is exact and the estimate is exactly zero.
     """
     if extended.breakdown:
-        return ErrorEstimate(0.0, float(t), EXTRA_SITE_EXACT)
+        return ErrorEstimate(_zero(t), _per_time(t, _times(t)), EXTRA_SITE_EXACT)
     _require_history(extended)
     full = extended.tridiag
-    value = _infidelity(_chain_state(full.prefix(full.n - 1), t), _chain_state(full, t))
-    return ErrorEstimate(value, float(t), EXTRA_SITE_EXACT)
+    return _estimate(EXTRA_SITE_EXACT, t, _infidelity, full.prefix(full.n - 1).eigen(), full.eigen())
 
 
-def estimate_extra_site_averaged(
-    basis: KrylovBasis, t: float, mode: str = "literal"
-) -> ErrorEstimate:
+def estimate_extra_site_averaged(basis: KrylovBasis, t, mode: str = "literal") -> ErrorEstimate:
     """Extra-site estimate with the unknown site coefficients averaged away.
 
     literal mode appends a site with onsite alpha_bar and coupling beta_bar,
@@ -178,35 +182,36 @@ def estimate_extra_site_averaged(
     coupling = avg.beta_bar if mode == "literal" else basis.residual_beta
     tri = basis.tridiag
     reference = tri.append_site(avg.alpha_bar, coupling)
-    value = _infidelity(_chain_state(tri, t), _chain_state(reference, t))
     kind = EXTRA_SITE_AVERAGED if mode == "literal" else "extra_site_hybrid"
-    return ErrorEstimate(value, float(t), kind)
+    return _estimate(kind, t, _infidelity, tri.eigen(), reference.eigen())
 
 
-def estimate_toeplitz_analytic(basis: KrylovBasis, t: float) -> ErrorEstimate:
+def estimate_toeplitz_analytic(basis: KrylovBasis, t) -> ErrorEstimate:
     """Closed-form estimate treating the chain as homogeneous.
 
     Compares the analytic end states of homogeneous chains of sizes N and
-    N+1 with the history-averaged coefficients; no propagation is performed.
+    N+1 with the history-averaged coefficients; no eigensolve is performed.
     """
     _require_history(basis)
     avg = averaged_coefficients(basis)
-    a = toeplitz_end_state(basis.size, avg.alpha_bar, avg.beta_bar, t)
-    b = toeplitz_end_state(basis.size + 1, avg.alpha_bar, avg.beta_bar, t)
-    return ErrorEstimate(_infidelity(a, b), float(t), TOEPLITZ_ANALYTIC)
+    truncated = _toeplitz_eigen(basis.size, avg.alpha_bar, avg.beta_bar)
+    reference = _toeplitz_eigen(basis.size + 1, avg.alpha_bar, avg.beta_bar)
+    return _estimate(TOEPLITZ_ANALYTIC, t, _infidelity, truncated, reference)
 
 
-def estimate_park_light(basis: KrylovBasis, t: float) -> ErrorEstimate:
+def estimate_park_light(basis: KrylovBasis, t) -> ErrorEstimate:
     """End-of-chain population ``|<e_N| exp(-i T t) |e_1>|^2``.
 
     The classic comparison baseline: the error is taken as the population
     that reached the truncation end of the chain.
     """
-    value = abs(_chain_state(basis.tridiag, t)[-1]) ** 2
-    return ErrorEstimate(min(float(value), 1.0), float(t), PARK_LIGHT)
+    def last_population(states):
+        return np.minimum(np.abs(states[:, -1]) ** 2, 1.0)
+
+    return _estimate(PARK_LIGHT, t, last_population, basis.tridiag.eigen())
 
 
-def extra_site_band(basis: KrylovBasis, t: float) -> tuple[float, float]:
+def extra_site_band(basis: KrylovBasis, t) -> tuple:
     """Envelope of extra-site estimates over extreme history coefficients.
 
     Runs the averaged-style estimate with all four (min/max onsite) x
@@ -214,17 +219,14 @@ def extra_site_band(basis: KrylovBasis, t: float) -> tuple[float, float]:
     """
     _require_history(basis)
     tri = basis.tridiag
-    alphas = tri.diag
-    betas = _coupling_history(basis)
-    truncated = _chain_state(tri, t)
-    values = []
-    for onsite, coupling in product(
-        (float(alphas.min()), float(alphas.max())),
-        (float(betas.min()), float(betas.max())),
-    ):
-        reference = tri.append_site(onsite, coupling)
-        values.append(_infidelity(truncated, _chain_state(reference, t)))
-    return min(values), max(values)
+    extremes = [(float(c.min()), float(c.max())) for c in (tri.diag, _coupling_history(basis))]
+    references = [tri.append_site(a, b).eigen() for a, b in product(*extremes)]
+
+    def infidelities(truncated, *states):
+        return np.stack([_infidelity(truncated, state) for state in states], axis=-1)
+
+    values = _over_chains(infidelities, t, tri.eigen(), *references)
+    return values.min(axis=-1), values.max(axis=-1)
 
 
 def oracle_infidelities(
@@ -242,12 +244,13 @@ def oracle_infidelities(
     array of finite times.
     """
     blocks = _dense_oracle(hamiltonian, basis.vectors[0], ts, cap=cap)
-    ts = np.asarray(ts, dtype=float)
+    ts = _times(ts)
     values = np.empty(ts.size)
     for start, exact in blocks:
-        for j, state in enumerate(exact, start):
-            approx = krylov_evolve(basis, ts[j]) / basis.source_norm
-            values[j] = _infidelity(approx, state)
+        block = slice(start, start + len(exact))
+        approx = krylov_evolve(basis, ts[block]) / basis.source_norm
+        values[block] = _infidelity(approx, exact)
+        del approx, exact  # the next block is formed without this one alive
     return values
 
 
@@ -266,7 +269,7 @@ def estimate_oracle(
 def bind_estimator(
     name: str, basis: KrylovBasis, hamiltonian: LinearOperator | None = None
 ) -> BoundEstimator:
-    """Bind an estimator name to a basis, returning ``eps(t) -> float``.
+    """Bind an estimator name to a basis, returning ``eps(t)``.
 
     For ``extra_site_exact`` the basis is extended once up front (one
     operator application), so the returned estimator is cheap for time
@@ -277,7 +280,7 @@ def bind_estimator(
     if name not in ESTIMATOR_NAMES:
         raise ValueError(f"unknown estimator {name!r}; expected one of {ESTIMATOR_NAMES}")
     if basis.breakdown:
-        return BoundEstimator(lambda t: 0.0, basis)
+        return BoundEstimator(_zero, basis)
     if name == EXTRA_SITE_EXACT:
         if hamiltonian is None:
             raise ValueError("extra_site_exact needs the Hamiltonian to extend the basis")

@@ -66,8 +66,9 @@ def basis_state(dim: int, index: int = 0) -> np.ndarray:
 class TridiagonalEigen:
     """Spectral decomposition ``T = Q diag(eigenvalues) Q^T``.
 
-    ``eigenvalues`` is ascending; ``eigenvectors`` holds the orthonormal
-    eigenvectors as columns (real, since T is real symmetric).
+    ``eigenvalues`` is ascending from the numeric solver (the closed-form
+    homogeneous chain keeps mode order); ``eigenvectors`` holds the
+    orthonormal eigenvectors as columns (real, since T is real symmetric).
     """
 
     eigenvalues: np.ndarray
@@ -144,20 +145,98 @@ def eig_sym_tridiagonal(tri: SymmetricTridiagonal) -> TridiagonalEigen:
     return TridiagonalEigen(evals, evecs)
 
 
-def expi_tridiagonal_apply(tri: SymmetricTridiagonal, t: float, vec: np.ndarray) -> np.ndarray:
+def expi_tridiagonal_apply(tri: SymmetricTridiagonal, t, vec: np.ndarray) -> np.ndarray:
     """Apply ``exp(-i T t)`` to ``vec`` through the spectral decomposition.
 
-    Norm is preserved to machine precision; ``t = 0`` returns the input
-    unchanged.
+    An array ``t`` gives one state per time. Norm is preserved to machine
+    precision; ``t = 0`` returns the input unchanged.
     """
     vec = np.asarray(vec, dtype=np.complex128)
     if vec.shape != (tri.n,):
         raise ValueError(f"vector shape {vec.shape} does not match size {tri.n}")
-    if t == 0.0:
-        return vec.copy()
     eig = tri.eigen()
-    phases = np.exp(-1j * t * eig.eigenvalues)
-    return eig.eigenvectors @ (phases * (eig.eigenvectors.T @ vec))
+    coeffs = _coefficients(eig.eigenvectors, vec)
+    return _per_time(t, _spectral_states(eig.eigenvalues, eig.eigenvectors, coeffs, t, vec))
+
+
+def _times(t) -> np.ndarray:
+    """A scalar or 1-D array of times as a 1-D float array; rejects non-finite times."""
+    ts = np.asarray(t, dtype=float)
+    if ts.ndim > 1:
+        raise ValueError(f"times must be a scalar or a 1-D array, got shape {ts.shape}")
+    if np.count_nonzero(np.isfinite(ts)) < ts.size:
+        raise ValueError("times must be finite")
+    return ts.reshape(-1)
+
+
+def _per_time(t, rows):
+    """``rows`` (leading time axis) for an array ``t``; its one row for a scalar ``t``."""
+    return rows if np.asarray(t).ndim else rows[0]
+
+
+def _time_blocks(size: int, width: int) -> Iterator[slice]:
+    """Blocks of ``size`` times whose complex rows of ``width`` take about ``_ORACLE_BLOCK_BYTES``.
+
+    No times still make one (empty) block, so results keep their shape.
+    """
+    chunk = max(1, _ORACLE_BLOCK_BYTES // (16 * width))
+    return (slice(start, start + chunk) for start in range(0, max(size, 1), chunk))
+
+
+def _matmul(matrix: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """``matrix @ columns`` for complex columns; a float64 matrix acts on their real view, uncast."""
+    if matrix.dtype == np.float64:
+        return (matrix @ columns.view(np.float64)).view(np.complex128)
+    return matrix @ columns
+
+
+def _coefficients(evecs: np.ndarray, state: np.ndarray) -> np.ndarray:
+    """``E^dagger state`` as ``(E^T state^*)^*``, so that ``E`` is never copied or cast."""
+    return _matmul(evecs.T, state.conj()[:, None])[:, 0].conj()
+
+
+def _spectral_states(evals, evecs, coeffs, t, start) -> np.ndarray:
+    """States ``E (exp(-i lambda t) c)`` at the times ``t``, as the rows of a (T, n) array.
+
+    The one propagator kernel, so the one place a time enters: ``t`` must be
+    finite, and rows at ``t = 0`` are ``start`` exactly. For real ``E`` the
+    product is one real GEMM on the float64 view of the phase columns. It
+    holds two (n, T) arrays at a time; sweeps pass one ``_time_blocks`` block.
+    """
+    ts = _times(t)
+    phases = np.multiply.outer(-1j * evals, ts)
+    np.exp(phases, out=phases)
+    phases *= coeffs[:, None]
+    phases = _matmul(evecs, phases)
+    states = np.ascontiguousarray(phases.T)
+    if np.count_nonzero(ts) < ts.size:
+        states[ts == 0.0] = start
+    return states
+
+
+def _end_states(eig: TridiagonalEigen, t) -> np.ndarray:
+    """Chain states ``exp(-i T t)|0>`` as rows: the kernel with ``c = Q[0]``."""
+    n = eig.eigenvalues.size
+    return _spectral_states(eig.eigenvalues, eig.eigenvectors, eig.eigenvectors[0], t, basis_state(n))
+
+
+def _over_chains(reduce, t, *chains: TridiagonalEigen):
+    """``reduce`` of the chains' end states, per time of ``t``: the one echo evaluator.
+
+    ``reduce`` maps one block of states per chain to one result per time, so
+    no times-by-sites array is held. The kernel checks the times.
+    """
+    ts = np.array(t, dtype=float, ndmin=1)
+    width = max(eig.eigenvalues.size for eig in chains)
+    blocks = _time_blocks(ts.size, width)
+    rows = [reduce(*[_end_states(eig, ts[block]) for eig in chains]) for block in blocks]
+    return _per_time(t, np.concatenate(rows))
+
+
+def _overlaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise ``<a|b>`` over the sites two blocks of chain states share."""
+    k = min(a.shape[-1], b.shape[-1])
+    return np.vecdot(a[..., :k], b[..., :k])
 
 
 class LinearOperator:
@@ -221,7 +300,7 @@ class DenseOperator(LinearOperator):
         vec = np.asarray(vec, dtype=np.complex128)
         if vec.shape != (self.dim,):
             raise ValueError(f"vector shape {vec.shape} does not match dim {self.dim}")
-        return self.matrix @ vec
+        return _matmul(self.matrix, vec[:, None])[:, 0]
 
     def to_dense(self) -> np.ndarray:
         return self.matrix
@@ -255,11 +334,8 @@ def _dense_oracle(
     Yields ``(start, states)`` with ``states[j]`` the state at
     ``ts[start + j]``; the input is checked, and ``hamiltonian``
     diagonalized (cached on the operator), before the first block. Each
-    block holds about ``_ORACLE_BLOCK_BYTES`` of states, so no times-by-dim
-    array is ever formed. With ``E`` the eigenvectors and ``c = E^dagger
-    psi``, a block is ``E (exp(-i lambda t) c)`` over its times: for real
-    ``E`` one real GEMM on the float64 view of the complex columns, so ``E``
-    is never cast to complex.
+    block is the propagator kernel over one ``_time_blocks`` block with
+    ``c = E^dagger psi``, so no times-by-dim array is ever formed.
     """
     if hamiltonian.dim > cap:
         raise ValueError(
@@ -269,34 +345,11 @@ def _dense_oracle(
     psi = np.ascontiguousarray(psi, dtype=np.complex128)
     if psi.shape != (hamiltonian.dim,):
         raise ValueError(f"state shape {psi.shape} does not match dim {hamiltonian.dim}")
-    ts = np.asarray(ts, dtype=float)
-    if ts.ndim != 1:
-        raise ValueError(f"oracle times must be a 1-D array, got shape {ts.shape}")
-    if not np.isfinite(ts).all():
-        raise ValueError("oracle times must be finite")
+    ts = _times(ts)
     evals, evecs = hamiltonian.dense_eigh()
-    real = np.isrealobj(evecs)
-    if real:
-        # E^T psi on the (re, im) pairs of psi: one real product, E uncast.
-        coeffs = (evecs.T @ psi.view(np.float64).reshape(-1, 2)).view(np.complex128)[:, 0]
-    else:
-        # E^dagger psi as (psi^* E)^*, so that no call copies E.
-        coeffs = (psi.conj() @ evecs).conj()
-    rates = -1j * evals
-    chunk = max(1, _ORACLE_BLOCK_BYTES // (16 * hamiltonian.dim))
-    for start in range(0, ts.size, chunk):
-        block = np.multiply.outer(rates, ts[start : start + chunk])
-        np.exp(block, out=block)
-        block *= coeffs[:, None]
-        # Each intermediate is dropped once the next exists, so a block costs
-        # two block-sized arrays at a time, on top of the one being consumed.
-        if real:
-            block = (evecs @ block.view(np.float64)).view(np.complex128)
-        else:
-            block = evecs @ block
-        states = np.ascontiguousarray(block.T)
-        del block
-        yield start, states
+    coeffs = _coefficients(evecs, psi)
+    for block in _time_blocks(ts.size, hamiltonian.dim):
+        yield block.start, _spectral_states(evals, evecs, coeffs, ts[block], psi)
 
 
 def exact_evolve_dense(

@@ -15,6 +15,16 @@ from functools import lru_cache
 
 import numpy as np
 
+from .linalg import (
+    TridiagonalEigen,
+    _end_states,
+    _over_chains,
+    _overlaps,
+    _per_time,
+    _spectral_states,
+    basis_state,
+)
+
 __all__ = [
     "ToeplitzChain",
     "rescaling_check",
@@ -40,15 +50,16 @@ class ToeplitzChain:
 
 
 @lru_cache(maxsize=64)
-def _sin_table(n_sites: int) -> np.ndarray:
-    # sin(n k pi / (N+1)) with 1-based site rows n and mode columns k.
+def _sine_modes(n_sites: int) -> np.ndarray:
+    # sqrt(2/(N+1)) sin(n k pi / (N+1)) with 1-based site rows n and mode columns k.
     idx = np.arange(1, n_sites + 1)
-    return np.sin(np.outer(idx, idx) * (np.pi / (n_sites + 1)))
+    return np.sqrt(2.0 / (n_sites + 1)) * np.sin(np.outer(idx, idx) * (np.pi / (n_sites + 1)))
 
 
-def _eigenvalues(n_sites: int, alpha: float, beta: float) -> np.ndarray:
+def _toeplitz_eigen(n_sites: int, alpha: float, beta: float) -> TridiagonalEigen:
+    """Closed-form eigenpairs: the cosine band, in mode order, and the sine modes."""
     k = np.arange(1, n_sites + 1)
-    return alpha + 2.0 * beta * np.cos(k * np.pi / (n_sites + 1))
+    return TridiagonalEigen(alpha + 2.0 * beta * np.cos(k * np.pi / (n_sites + 1)), _sine_modes(n_sites))
 
 
 def _check_site(chain: ToeplitzChain, name: str, value: int) -> None:
@@ -59,44 +70,36 @@ def _check_site(chain: ToeplitzChain, name: str, value: int) -> None:
 def toeplitz_eigenvalue(chain: ToeplitzChain, k: int) -> float:
     """Band energy ``alpha + 2 beta cos(k pi / (N+1))`` of mode ``k``."""
     _check_site(chain, "k", k)
-    return float(chain.alpha + 2.0 * chain.beta * np.cos(k * np.pi / (chain.n_sites + 1)))
+    return float(_toeplitz_eigen(chain.n_sites, chain.alpha, chain.beta).eigenvalues[k - 1])
 
 
 def toeplitz_eigenvector_component(chain: ToeplitzChain, n: int, k: int) -> float:
     """Site amplitude ``sqrt(2/(N+1)) sin(n k pi / (N+1))`` of mode ``k``."""
     _check_site(chain, "n", n)
     _check_site(chain, "k", k)
-    top = chain.n_sites + 1
-    return float(np.sqrt(2.0 / top) * np.sin(n * k * np.pi / top))
+    return float(_sine_modes(chain.n_sites)[n - 1, k - 1])
 
 
-def _transition_column(
-    n_sites: int, alpha: float, beta: float, t: float, source: int = 1
-) -> np.ndarray:
-    # S^N_{n,source}(t) for every site n (see toeplitz_transition); the sin
-    # table is cached across t values.
-    table = _sin_table(n_sites)
-    phases = np.exp(1j * t * _eigenvalues(n_sites, alpha, beta))
-    return (2.0 / (n_sites + 1)) * (table @ (table[source - 1] * phases))
-
-
-def toeplitz_transition(chain: ToeplitzChain, n: int, n_prime: int, t: float) -> complex:
+def toeplitz_transition(chain: ToeplitzChain, n: int, n_prime: int, t):
     """Transition amplitude ``S^N_{n,n'}(t)`` of ``exp(+i T t)``.
 
-    ``(2/(N+1)) sum_k sin(n k pi/(N+1)) sin(n' k pi/(N+1)) exp(i t E_k)``.
+    ``(2/(N+1)) sum_k sin(n k pi/(N+1)) sin(n' k pi/(N+1)) exp(i t E_k)``,
+    one amplitude per time for an array ``t``.
     """
     _check_site(chain, "n", n)
     _check_site(chain, "n_prime", n_prime)
-    column = _transition_column(chain.n_sites, chain.alpha, chain.beta, t, n_prime)
-    return complex(column[n - 1])
+    eig = _toeplitz_eigen(chain.n_sites, chain.alpha, chain.beta)
+    modes, source = eig.eigenvectors, basis_state(chain.n_sites, n_prime - 1)
+    states = _spectral_states(eig.eigenvalues, modes, modes[n_prime - 1], -np.asarray(t, float), source)
+    return _per_time(t, states[:, n - 1])
 
 
-def toeplitz_end_state(n_sites: int, alpha: float, beta: float, t: float) -> np.ndarray:
-    """Chain state ``exp(-i T t)|1>`` in closed form: the column ``S^N_{n,1}(-t)``."""
-    return _transition_column(n_sites, alpha, beta, -t)
+def toeplitz_end_state(n_sites: int, alpha: float, beta: float, t) -> np.ndarray:
+    """Chain state ``exp(-i T t)|1>`` in closed form (one per time): the column ``S^N_{n,1}(-t)``."""
+    return _per_time(t, _end_states(_toeplitz_eigen(n_sites, alpha, beta), t))
 
 
-def toeplitz_echo(n_sites: int, n_prime: int, alpha: float, beta: float, t: float) -> complex:
+def toeplitz_echo(n_sites: int, n_prime: int, alpha: float, beta: float, t):
     """Echo amplitude ``<0| exp(-i t T_{N'}) exp(+i t T_N) |0>``.
 
     Evaluated as ``sum_n S^N_{n,1}(t) S^{N'}_{1,n}(-t)`` over the shared
@@ -104,10 +107,8 @@ def toeplitz_echo(n_sites: int, n_prime: int, alpha: float, beta: float, t: floa
     """
     if n_sites < 1 or n_prime < 1:
         raise ValueError("chain sizes must be >= 1")
-    forward = _transition_column(n_sites, alpha, beta, t)
-    backward = _transition_column(n_prime, alpha, beta, -t)
-    k = min(n_sites, n_prime)
-    return complex(np.dot(forward[:k], backward[:k]))
+    chains = (_toeplitz_eigen(n_sites, alpha, beta), _toeplitz_eigen(n_prime, alpha, beta))
+    return _over_chains(_overlaps, t, *chains)
 
 
 def rescaling_check(

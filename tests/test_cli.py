@@ -205,6 +205,25 @@ class TestRegimesCommand:
         assert main(args.format(out_b).split()) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
 
+    def test_deterministic_evolve_outputs(self, tmp_path):
+        # Every byte of the state file and every CSV byte outside the
+        # measured wall_time column repeat between identical runs.
+        outputs = []
+        for run in ("a", "b"):
+            out, state_out = tmp_path / f"{run}.csv", tmp_path / f"{run}.kryv"
+            args = (
+                "evolve --model ising --n 6 --krylov-n 10 --tol 1e-8 --t-final 5 --seed 5 "
+                f"--estimator extra_site_hybrid --out {out} --state-out {state_out}"
+            )
+            assert main(args.split()) == 0
+            comments, header, rows = read_csv(out)
+            comments.pop("state_out")
+            wall = header.index("wall_time")
+            rows = [row[:wall] + row[wall + 1 :] for row in rows]
+            outputs.append((comments, rows, state_out.read_bytes()))
+        assert len(outputs[0][1]) >= 2
+        assert outputs[0] == outputs[1]
+
     def test_scientific_notation_digits(self, tmp_path):
         out = tmp_path / "fmt.csv"
         main(

@@ -268,6 +268,20 @@ class TestOperators:
         with pytest.raises(ValueError, match="nonempty square"):
             DenseOperator(np.zeros((0, 0)))
 
+    def test_real_apply_never_casts_the_matrix(self):
+        # A complex product would cast the float64 matrix: 16.8 MB at D=1024.
+        op = goe_sample(1024, 1)
+        v = random_state(1024, 2)
+        expected = op.matrix.astype(np.complex128) @ v
+        tracemalloc.start()
+        try:
+            out = op.apply(v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert np.abs(out - expected).max() <= 1e-13
+
     def test_to_dense_matches_apply(self, rng):
         g = rng.standard_normal((6, 6))
         op = DenseOperator((g + g.T) / 2)
