@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 import typing
-from dataclasses import dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
@@ -30,15 +30,15 @@ from .linalg import (
     DenseOperator,
     LinearOperator,
     SymmetricTridiagonal,
-    _dense_oracle,
     _end_states,
+    _over_times,
     basis_state,
     exact_evolve_dense,
 )
 from .models import IsingParams, goe_sample, gue_sample, ising_operator, random_state
 from .propagator import true_infidelity
 from .stateio import write_state
-from .stepper import evolve_adaptive
+from .stepper import StepRecord, evolve_adaptive
 from .toeplitz import toeplitz_echo
 
 __all__ = [
@@ -166,20 +166,17 @@ def build_model(cfg: ExperimentConfig) -> tuple[LinearOperator, np.ndarray]:
     raise ValueError(f"unknown model {cfg.model!r}")
 
 
-def _model_dim(cfg: ExperimentConfig) -> int:
-    return 2**cfg.n if cfg.model == "ising" else cfg.n
-
-
-def _require_oracle(cfg: ExperimentConfig) -> None:
-    dim = _model_dim(cfg)
-    if dim > cfg.oracle_cap:
+def _require_oracle(cfg: ExperimentConfig, hamiltonian: LinearOperator) -> None:
+    if hamiltonian.dim > cfg.oracle_cap:
         raise ValueError(
-            f"this experiment needs the dense oracle, but dimension {dim} exceeds "
+            f"this experiment needs the dense oracle, but dimension {hamiltonian.dim} exceeds "
             f"oracle_cap {cfg.oracle_cap}"
         )
 
 
 def _fmt(value) -> str:
+    if value is None:
+        return ""
     if isinstance(value, (bool, np.bool_)):
         return str(bool(value)).lower()
     if isinstance(value, (int, np.integer)):
@@ -242,8 +239,8 @@ def _grid(cfg: ExperimentConfig) -> np.ndarray:
 
 def cmd_regimes(cfg: ExperimentConfig) -> None:
     """Echo and true error across a time grid, with measured regime times."""
-    _require_oracle(cfg)
     hamiltonian, psi = build_model(cfg)
+    _require_oracle(cfg, hamiltonian)
     basis = lanczos_iterate(hamiltonian, psi, min(cfg.krylov_n, hamiltonian.dim))
     ts = _grid(cfg)
     errors = oracle_infidelities(basis, hamiltonian, ts, cap=cfg.oracle_cap)
@@ -260,10 +257,10 @@ def cmd_regimes(cfg: ExperimentConfig) -> None:
 
 def cmd_snapshots(cfg: ExperimentConfig) -> None:
     """Exact vs Krylov wave-packet profiles on the chain at requested times."""
-    _require_oracle(cfg)
     if not cfg.times:
         raise ValueError("snapshots needs --times (comma-separated list)")
     hamiltonian, psi = build_model(cfg)
+    _require_oracle(cfg, hamiltonian)
     profile_m = cfg.profile_m or min(2 * cfg.krylov_n, hamiltonian.dim)
     if not cfg.krylov_n <= profile_m <= hamiltonian.dim:
         raise ValueError(
@@ -274,10 +271,13 @@ def cmd_snapshots(cfg: ExperimentConfig) -> None:
     times = np.asarray(cfg.times, dtype=float)
     pop_krylov = np.zeros((times.size, basis.size))
     pop_krylov[:, : reduced.n] = np.abs(_end_states(reduced.eigen(), times)) ** 2
-    pop_exact = np.empty_like(pop_krylov)
-    for start, states in _dense_oracle(hamiltonian, psi, times, cap=cfg.oracle_cap):
+
+    def exact_profiles(block):
         # |<v_i|state>|^2 on every stored site, as project_profile forms it for one state.
-        pop_exact[start : start + len(states)] = np.abs(states.conj() @ basis.vectors.T) ** 2
+        states = exact_evolve_dense(hamiltonian, psi, block, cap=cfg.oracle_cap)
+        return np.abs(states.conj() @ basis.vectors.T) ** 2
+
+    pop_exact = _over_times(exact_profiles, times, hamiltonian.dim)
     rows = zip(
         np.repeat(times, basis.size),
         np.tile(np.arange(basis.size), times.size),
@@ -292,8 +292,8 @@ def cmd_snapshots(cfg: ExperimentConfig) -> None:
 
 def cmd_bounds(cfg: ExperimentConfig) -> None:
     """Cheap estimators against the oracle error, with per-time ratios."""
-    _require_oracle(cfg)
     hamiltonian, psi = build_model(cfg)
+    _require_oracle(cfg, hamiltonian)
     basis = lanczos_iterate(hamiltonian, psi, min(cfg.krylov_n, hamiltonian.dim))
     estimator_fns = {
         name: bind_estimator(name, basis, hamiltonian) for name in cfg.estimators
@@ -306,8 +306,9 @@ def cmd_bounds(cfg: ExperimentConfig) -> None:
         header += ["band_low", "band_high"]
     oracles = oracle_infidelities(basis, hamiltonian, ts, cap=cfg.oracle_cap)
     estimates = [estimator_fns[name](ts) for name in cfg.estimators]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = [est / oracles for est in estimates]
+    # A ratio over an oracle of exactly 0 is undefined: its cell is left empty.
+    undefined = oracles == 0.0
+    ratios = [np.where(undefined, None, est / np.where(undefined, 1.0, oracles)) for est in estimates]
     columns = [ts, oracles, *estimates, *ratios]
     if cfg.band:
         columns += extra_site_band(basis, ts)
@@ -355,24 +356,9 @@ def cmd_evolve(cfg: ExperimentConfig) -> None:
         exact = exact_evolve_dense(hamiltonian, psi, cfg.t_final, cap=cfg.oracle_cap)
         final_infidelity = true_infidelity(report.final_state, exact)
         comments.append(f"true_infidelity={_fmt(final_infidelity)}")
-    rows = [
-        (
-            i,
-            step.t_start,
-            step.dt,
-            step.basis_size,
-            step.estimated_error,
-            step.estimator_kind,
-            step.wall_time,
-        )
-        for i, step in enumerate(report.steps)
-    ]
-    _write_csv(
-        cfg.out,
-        comments,
-        ["step", "t_start", "dt", "basis_size", "estimated_error", "estimator_kind", "wall_time"],
-        rows,
-    )
+    rows = [(i, *astuple(step)) for i, step in enumerate(report.steps)]
+    header = ["step", *(f.name for f in fields(StepRecord))]
+    _write_csv(cfg.out, comments, header, rows)
 
 
 COMMANDS = {

@@ -28,11 +28,12 @@ from .linalg import (
     LinearOperator,
     SymmetricTridiagonal,
     TridiagonalEigen,
-    _dense_oracle,
     _over_chains,
+    _over_times,
     _overlaps,
     _per_time,
     _times,
+    exact_evolve_dense,
 )
 from .propagator import _infidelity, krylov_evolve
 from .toeplitz import _toeplitz_eigen
@@ -238,20 +239,19 @@ def oracle_infidelities(
 ) -> np.ndarray:
     """True infidelity of the Krylov evolution at each of ``ts`` (verification only).
 
-    The dense oracle forms the exact states a block of times at a time;
-    each is compared with the Krylov state through the infidelity kernel of
-    :func:`krylov_echo.propagator.true_infidelity`. ``ts`` must be a 1-D
-    array of finite times.
+    One time block at a time, :func:`krylov_echo.linalg.exact_evolve_dense`
+    forms the exact states and :func:`krylov_evolve` the Krylov states as one
+    product; each pair goes through the infidelity kernel of
+    :func:`krylov_echo.propagator.true_infidelity`. ``ts`` is a scalar or a
+    1-D array of finite times, checked before any work.
     """
-    blocks = _dense_oracle(hamiltonian, basis.vectors[0], ts, cap=cap)
-    ts = _times(ts)
-    values = np.empty(ts.size)
-    for start, exact in blocks:
-        block = slice(start, start + len(exact))
-        approx = krylov_evolve(basis, ts[block]) / basis.source_norm
-        values[block] = _infidelity(approx, exact)
-        del approx, exact  # the next block is formed without this one alive
-    return values
+    psi = basis.vectors[0]
+
+    def block(times):
+        exact = exact_evolve_dense(hamiltonian, psi, times, cap=cap)
+        return _infidelity(krylov_evolve(basis, times) / basis.source_norm, exact)
+
+    return _over_times(block, ts, hamiltonian.dim)
 
 
 def estimate_oracle(
@@ -262,7 +262,7 @@ def estimate_oracle(
     cap: int = DEFAULT_ORACLE_CAP,
 ) -> ErrorEstimate:
     """True infidelity against the dense evolution oracle at one time (verification only)."""
-    value = float(oracle_infidelities(basis, hamiltonian, [t], cap=cap)[0])
+    value = float(oracle_infidelities(basis, hamiltonian, t, cap=cap))
     return ErrorEstimate(value, float(t), ORACLE)
 
 

@@ -10,7 +10,6 @@ carry their own cached spectral decomposition, which makes repeated
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -174,13 +173,18 @@ def _per_time(t, rows):
     return rows if np.asarray(t).ndim else rows[0]
 
 
-def _time_blocks(size: int, width: int) -> Iterator[slice]:
-    """Blocks of ``size`` times whose complex rows of ``width`` take about ``_ORACLE_BLOCK_BYTES``.
+def _over_times(evaluate, t, width: int):
+    """``evaluate`` over blocks of ``t``, joined, per time of ``t``: the one time-block loop.
 
-    No times still make one (empty) block, so results keep their shape.
+    The times are checked before the first block. Each block holds about
+    ``_ORACLE_BLOCK_BYTES`` of complex rows of ``width``, so no
+    times-by-``width`` array is formed; no times still make one (empty)
+    block, so results keep their shape.
     """
+    ts = _times(t)
     chunk = max(1, _ORACLE_BLOCK_BYTES // (16 * width))
-    return (slice(start, start + chunk) for start in range(0, max(size, 1), chunk))
+    rows = [evaluate(ts[start : start + chunk]) for start in range(0, max(ts.size, 1), chunk)]
+    return _per_time(t, np.concatenate(rows))
 
 
 def _matmul(matrix: np.ndarray, columns: np.ndarray) -> np.ndarray:
@@ -201,7 +205,7 @@ def _spectral_states(evals, evecs, coeffs, t, start) -> np.ndarray:
     The one propagator kernel, so the one place a time enters: ``t`` must be
     finite, and rows at ``t = 0`` are ``start`` exactly. For real ``E`` the
     product is one real GEMM on the float64 view of the phase columns. It
-    holds two (n, T) arrays at a time; sweeps pass one ``_time_blocks`` block.
+    holds two (n, T) arrays at a time; sweeps pass one ``_over_times`` block.
     """
     ts = _times(t)
     phases = np.multiply.outer(-1j * evals, ts)
@@ -224,13 +228,10 @@ def _over_chains(reduce, t, *chains: TridiagonalEigen):
     """``reduce`` of the chains' end states, per time of ``t``: the one echo evaluator.
 
     ``reduce`` maps one block of states per chain to one result per time, so
-    no times-by-sites array is held. The kernel checks the times.
+    no times-by-sites array is held.
     """
-    ts = np.array(t, dtype=float, ndmin=1)
     width = max(eig.eigenvalues.size for eig in chains)
-    blocks = _time_blocks(ts.size, width)
-    rows = [reduce(*[_end_states(eig, ts[block]) for eig in chains]) for block in blocks]
-    return _per_time(t, np.concatenate(rows))
+    return _over_times(lambda ts: reduce(*[_end_states(eig, ts) for eig in chains]), t, width)
 
 
 def _overlaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -322,20 +323,22 @@ def _check_hermitian(matrix: np.ndarray) -> None:
         raise ValueError("matrix is not Hermitian")
 
 
-def _dense_oracle(
+def exact_evolve_dense(
     hamiltonian: LinearOperator,
     psi: np.ndarray,
-    ts,
+    t,
     *,
     cap: int = DEFAULT_ORACLE_CAP,
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Exact states ``exp(-i H t) psi`` over a 1-D array of times, in blocks.
+) -> np.ndarray:
+    """Evolve ``psi`` under ``exp(-i H t)`` via full eigendecomposition.
 
-    Yields ``(start, states)`` with ``states[j]`` the state at
-    ``ts[start + j]``; the input is checked, and ``hamiltonian``
-    diagonalized (cached on the operator), before the first block. Each
-    block is the propagator kernel over one ``_time_blocks`` block with
-    ``c = E^dagger psi``, so no times-by-dim array is ever formed.
+    This is the verification oracle: exact up to eigensolver accuracy, with
+    O(dim^3) setup (cached on the operator) and O(dim^2) per time, in real
+    arithmetic for a real operator. It is the propagator kernel with
+    ``c = E^dagger psi``; an array ``t`` gives one state per time, so sweeps
+    call it once per ``_over_times`` block. It refuses dimensions above
+    ``cap`` so production paths cannot lean on it by accident, and checks
+    ``psi`` and ``t`` (finite, scalar or 1-D) before the eigensolve.
     """
     if hamiltonian.dim > cap:
         raise ValueError(
@@ -345,28 +348,6 @@ def _dense_oracle(
     psi = np.ascontiguousarray(psi, dtype=np.complex128)
     if psi.shape != (hamiltonian.dim,):
         raise ValueError(f"state shape {psi.shape} does not match dim {hamiltonian.dim}")
-    ts = _times(ts)
+    ts = _times(t)
     evals, evecs = hamiltonian.dense_eigh()
-    coeffs = _coefficients(evecs, psi)
-    for block in _time_blocks(ts.size, hamiltonian.dim):
-        yield block.start, _spectral_states(evals, evecs, coeffs, ts[block], psi)
-
-
-def exact_evolve_dense(
-    hamiltonian: LinearOperator,
-    psi: np.ndarray,
-    t: float,
-    *,
-    cap: int = DEFAULT_ORACLE_CAP,
-) -> np.ndarray:
-    """Evolve ``psi`` under ``exp(-i H t)`` via full eigendecomposition.
-
-    This is the verification oracle: exact up to eigensolver accuracy, with
-    O(dim^3) setup (cached on the operator) and O(dim^2) per call, in real
-    arithmetic for a real operator. It is the one-time case of the oracle
-    kernel that sweeps evaluate over blocks of times. It refuses dimensions
-    above ``cap`` so production paths cannot lean on it by accident, and
-    non-finite ``t``.
-    """
-    ((_, states),) = _dense_oracle(hamiltonian, psi, [t], cap=cap)
-    return states[0]
+    return _per_time(t, _spectral_states(evals, evecs, _coefficients(evecs, psi), ts, psi))

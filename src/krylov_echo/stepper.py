@@ -62,7 +62,6 @@ class EvolutionReport:
     steps: list[StepRecord]
     total_estimated_error: float
     infidelity_bound: float
-    config: dict
 
 
 def _max_step(exceeds: Callable[[float], bool], t_cap: float) -> float:
@@ -187,10 +186,4 @@ def evolve_adaptive(
         steps=steps,
         total_estimated_error=total,
         infidelity_bound=spent_amplitude**2,
-        config={
-            "t_final": t_final,
-            "tol": tol,
-            "n_krylov": n_krylov,
-            "estimator": kind,
-        },
     )

@@ -173,14 +173,17 @@ class TestRegimesCommand:
         errors = column(header, rows, "error")
         assert errors.max() > 1e-4
 
-    def test_oracle_cap_enforced(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "command", ["regimes", "bounds", "snapshots --times 0,1"], ids=["regimes", "bounds", "snapshots"]
+    )
+    def test_oracle_cap_enforced(self, tmp_path, capsys, command):
         out = tmp_path / "never.csv"
         rc = main(
-            "regimes --model ising --n 8 --krylov-n 16 --oracle-cap 64 "
+            f"{command} --model ising --n 8 --krylov-n 16 --oracle-cap 64 "
             f"--out {out}".split()
         )
         assert rc == 1
-        assert "oracle" in capsys.readouterr().err
+        assert "oracle_cap" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -330,6 +333,29 @@ class TestBoundsCommand:
         _, header, rows = read_csv(out)
         for name in ("oracle", "extra_site_exact", "park_light"):
             assert column(header, rows, name)[0] <= 1e-12
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            "--model toeplitz --n 40 --estimator extra_site_exact --estimator park_light",
+            "--model ising --n 6 --seed 3 --estimator extra_site_exact",
+        ],
+        ids=["toeplitz", "ising"],
+    )
+    def test_ratio_empty_where_oracle_exactly_zero(self, tmp_path, args):
+        # Both runs have an oracle of exactly 0 at t = 0; a 0/0 there would
+        # print nan, and the RuntimeWarning filter turns numpy's warning into an error.
+        out = tmp_path / "bounds.csv"
+        rc = main(f"bounds {args} --krylov-n 10 --t-min 0 --t-max 2 --points 3 --out {out}".split())
+        assert rc == 0
+        _, header, rows = read_csv(out)
+        assert column(header, rows, "oracle")[0] == 0.0
+        ratios = [name for name in header if name.startswith("ratio_")]
+        assert ratios
+        for name in ratios:
+            cells = [row[header.index(name)] for row in rows]
+            assert cells[0] == ""
+            assert np.isfinite([float(cell) for cell in cells[1:]]).all()
 
     def test_band_columns(self, tmp_path):
         out = tmp_path / "bounds.csv"
@@ -491,8 +517,11 @@ class TestMainEntry:
             "regimes --model ising --n 6 --krylov-n 10 --t-max 4 --points 300",
             "bounds --model goe --n 64 --krylov-n 10 --t-max 2 --points 200 --band",
             "evolve --model ising --n 6 --krylov-n 10 --t-final 5",
+            # Three oracle blocks of times at this dimension.
+            "snapshots --model ising --n 8 --krylov-n 10 --profile-m 20 --times "
+            + ",".join(f"{0.01 * k:g}" for k in range(600)),
         ],
-        ids=["regimes", "bounds", "evolve"],
+        ids=["regimes", "bounds", "evolve", "snapshots"],
     )
     def test_one_dense_eigensolve_per_run(self, tmp_path, monkeypatch, args):
         calls = []

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from krylov_echo import estimators
 from krylov_echo.estimators import oracle_infidelities
 from krylov_echo.lanczos import lanczos_iterate
 from krylov_echo.linalg import (
     DenseOperator,
     SymmetricTridiagonal,
-    _dense_oracle,
     basis_state,
     eig_sym_tridiagonal,
     exact_evolve_dense,
@@ -190,22 +190,30 @@ class TestDenseOracle:
         assert ising_operator(IsingParams(4)).to_dense().dtype == np.float64
 
     @pytest.mark.parametrize("name", sorted(MODELS))
-    def test_blocks_match_per_time_oracle(self, name):
+    def test_blocks_match_per_time_oracle(self, name, monkeypatch):
         ham = MODELS[name]()
         psi = random_state(ham.dim, 7)
         # t = 0 first, and more than two blocks of times at this dimension.
         ts = np.concatenate([[0.0], np.linspace(0.01, 30.0, 600)])
-        sizes, worst = [], 0.0
-        for start, states in _dense_oracle(ham, psi, ts):
-            sizes.append(len(states))
-            for j, state in enumerate(states, start):
-                worst = max(worst, np.abs(state - exact_evolve_dense(ham, psi, ts[j])).max())
-        assert sum(sizes) == ts.size and len(sizes) > 2
+        states = exact_evolve_dense(ham, psi, ts)
+        worst = max(
+            np.abs(state - exact_evolve_dense(ham, psi, t)).max() for t, state in zip(ts, states)
+        )
+        assert states.shape == (ts.size, ham.dim)
         assert worst <= 1e-14
         assert np.abs(exact_evolve_dense(ham, psi, 0.0) - psi).max() <= 1e-14
 
+        blocks = []
+
+        def counting_oracle(*args, **kwargs):
+            blocks.append(args[2])
+            return exact_evolve_dense(*args, **kwargs)
+
         basis = lanczos_iterate(ham, psi, 12)
+        monkeypatch.setattr(estimators, "exact_evolve_dense", counting_oracle)
         batched = oracle_infidelities(basis, ham, ts)
+        assert len(blocks) > 2
+        assert np.array_equal(np.concatenate(blocks), ts)
         per_time = [
             true_infidelity(krylov_evolve(basis, t), exact_evolve_dense(ham, psi, t)) for t in ts
         ]
@@ -218,9 +226,8 @@ class TestDenseOracle:
         psi = random_state(ham.dim, 8)
         ts = [0.3, 2.5]
         dense = ham.to_dense()
-        for _, states in _dense_oracle(ham, psi, ts):
-            for t, state in zip(ts, states):
-                assert np.abs(state - expm(-1j * t * dense) @ psi).max() <= 1e-11
+        for t, state in zip(ts, exact_evolve_dense(ham, psi, ts)):
+            assert np.abs(state - expm(-1j * t * dense) @ psi).max() <= 1e-11
 
     def test_sweep_never_holds_a_times_by_dim_array(self):
         ham = ising_operator(IsingParams(10))

@@ -16,7 +16,7 @@ from krylov_echo.estimators import (
     extra_site_band,
 )
 from krylov_echo.lanczos import extend_one, lanczos_iterate
-from krylov_echo.linalg import expi_tridiagonal_apply
+from krylov_echo.linalg import exact_evolve_dense, expi_tridiagonal_apply
 from krylov_echo.models import IsingParams, ising_operator, random_state
 from krylov_echo.propagator import krylov_evolve, reduced_coefficients
 from krylov_echo.toeplitz import (
@@ -64,6 +64,7 @@ def state_functions(setup):
         "reduced_coefficients": lambda t: reduced_coefficients(basis, t),
         "krylov_evolve": lambda t: krylov_evolve(basis, t),
         "expi_tridiagonal_apply": lambda t: expi_tridiagonal_apply(tri, t, vec),
+        "exact_evolve_dense": lambda t: exact_evolve_dense(ham, basis.vectors[0], t),
         "echo_general": lambda t: echo_general(tri, extended.tridiag, t),
         "toeplitz_echo": lambda t: toeplitz_echo(12, 13, 0.3, 0.8, t),
         "toeplitz_end_state": lambda t: toeplitz_end_state(12, 0.3, 0.8, t),
@@ -86,6 +87,7 @@ STATE_NAMES = [
     "reduced_coefficients",
     "krylov_evolve",
     "expi_tridiagonal_apply",
+    "exact_evolve_dense",
     "echo_general",
     "toeplitz_echo",
     "toeplitz_end_state",
