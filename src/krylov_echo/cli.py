@@ -144,34 +144,37 @@ def load_config_file(path) -> dict:
     return values
 
 
-def build_model(cfg: ExperimentConfig) -> tuple[LinearOperator, np.ndarray]:
+def build_model(cfg: ExperimentConfig, oracle: bool = False) -> tuple[LinearOperator, np.ndarray]:
     """Instantiate (H, initial state) for the configured model.
 
     Random-matrix models draw the state with an offset seed so it is
     independent of the matrix entries. The toeplitz model starts at chain
     site 1, where the recurrence reproduces the homogeneous chain exactly.
+    With ``oracle``, a dimension above ``cfg.oracle_cap`` is refused before
+    any dense matrix is drawn or filled.
     """
+
+    def dim(value: int) -> int:
+        if oracle and value > cfg.oracle_cap:
+            raise ValueError(
+                f"this experiment needs the dense oracle, but dimension {value} exceeds "
+                f"oracle_cap {cfg.oracle_cap}"
+            )
+        return value
+
     if cfg.model == "ising":
         op = ising_operator(IsingParams(cfg.n, J=cfg.J, h_x=cfg.h_x, h_z=cfg.h_z))
-        return op, random_state(op.dim, cfg.seed)
+        return op, random_state(dim(op.dim), cfg.seed)
     if cfg.model == "goe":
-        return goe_sample(cfg.n, cfg.seed), random_state(cfg.n, cfg.seed + STATE_SEED_OFFSET)
+        return goe_sample(dim(cfg.n), cfg.seed), random_state(cfg.n, cfg.seed + STATE_SEED_OFFSET)
     if cfg.model == "gue":
-        return gue_sample(cfg.n, cfg.seed), random_state(cfg.n, cfg.seed + STATE_SEED_OFFSET)
+        return gue_sample(dim(cfg.n), cfg.seed), random_state(cfg.n, cfg.seed + STATE_SEED_OFFSET)
     if cfg.model == "toeplitz":
         tri = SymmetricTridiagonal(
-            np.full(cfg.n, cfg.alpha), np.full(cfg.n - 1, cfg.beta)
+            np.full(dim(cfg.n), cfg.alpha), np.full(cfg.n - 1, cfg.beta)
         )
         return DenseOperator(tri.to_dense()), basis_state(cfg.n)
     raise ValueError(f"unknown model {cfg.model!r}")
-
-
-def _require_oracle(cfg: ExperimentConfig, hamiltonian: LinearOperator) -> None:
-    if hamiltonian.dim > cfg.oracle_cap:
-        raise ValueError(
-            f"this experiment needs the dense oracle, but dimension {hamiltonian.dim} exceeds "
-            f"oracle_cap {cfg.oracle_cap}"
-        )
 
 
 def _fmt(value) -> str:
@@ -239,8 +242,7 @@ def _grid(cfg: ExperimentConfig) -> np.ndarray:
 
 def cmd_regimes(cfg: ExperimentConfig) -> None:
     """Echo and true error across a time grid, with measured regime times."""
-    hamiltonian, psi = build_model(cfg)
-    _require_oracle(cfg, hamiltonian)
+    hamiltonian, psi = build_model(cfg, oracle=True)
     basis = lanczos_iterate(hamiltonian, psi, min(cfg.krylov_n, hamiltonian.dim))
     ts = _grid(cfg)
     errors = oracle_infidelities(basis, hamiltonian, ts, cap=cfg.oracle_cap)
@@ -259,8 +261,7 @@ def cmd_snapshots(cfg: ExperimentConfig) -> None:
     """Exact vs Krylov wave-packet profiles on the chain at requested times."""
     if not cfg.times:
         raise ValueError("snapshots needs --times (comma-separated list)")
-    hamiltonian, psi = build_model(cfg)
-    _require_oracle(cfg, hamiltonian)
+    hamiltonian, psi = build_model(cfg, oracle=True)
     profile_m = cfg.profile_m or min(2 * cfg.krylov_n, hamiltonian.dim)
     if not cfg.krylov_n <= profile_m <= hamiltonian.dim:
         raise ValueError(
@@ -292,8 +293,7 @@ def cmd_snapshots(cfg: ExperimentConfig) -> None:
 
 def cmd_bounds(cfg: ExperimentConfig) -> None:
     """Cheap estimators against the oracle error, with per-time ratios."""
-    hamiltonian, psi = build_model(cfg)
-    _require_oracle(cfg, hamiltonian)
+    hamiltonian, psi = build_model(cfg, oracle=True)
     basis = lanczos_iterate(hamiltonian, psi, min(cfg.krylov_n, hamiltonian.dim))
     estimator_fns = {
         name: bind_estimator(name, basis, hamiltonian) for name in cfg.estimators

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from krylov_echo import cli
 from krylov_echo.cli import (
     ExperimentConfig,
     build_model,
@@ -184,6 +185,25 @@ class TestRegimesCommand:
         )
         assert rc == 1
         assert "oracle_cap" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("model", ["goe", "gue"])
+    @pytest.mark.parametrize(
+        "command", ["regimes", "bounds", "snapshots --times 0,1"], ids=["regimes", "bounds", "snapshots"]
+    )
+    def test_oracle_cap_refuses_before_sampling(self, tmp_path, capsys, monkeypatch, command, model):
+        def never(*args):
+            raise AssertionError("the matrix was drawn before the oracle cap was checked")
+
+        monkeypatch.setattr(cli, f"{model}_sample", never)
+        out = tmp_path / "never.csv"
+        rc = main(f"{command} --model {model} --n 3000 --oracle-cap 2048 --out {out}".split())
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert (
+            "this experiment needs the dense oracle, but dimension 3000 exceeds oracle_cap 2048"
+            in err
+        )
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from krylov_echo.lanczos import extend_one, lanczos_iterate
+from krylov_echo.lanczos import _reorthogonalize, extend_one, lanczos_iterate
 from krylov_echo.linalg import DenseOperator, basis_state, exact_evolve_dense
 from krylov_echo.models import IsingParams, goe_sample, ising_operator, random_state
 from krylov_echo.propagator import krylov_evolve, true_infidelity
@@ -83,6 +83,22 @@ class TestBasisInvariants:
         far = np.triu(np.abs(reduced), k=2)
         assert far.max() <= tol
 
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: ising_operator(IsingParams(10)), lambda: goe_sample(1024, 3)],
+        ids=["ising-n10", "goe-d1024"],
+    )
+    def test_large_basis_orthonormality_and_reduction(self, make):
+        # One Gram-Schmidt pass per step is most at risk of losing orthogonality here.
+        ham = make()
+        basis = lanczos_iterate(ham, random_state(ham.dim, 11), 300)
+        assert basis.size == 300
+        gram = basis.vectors.conj() @ basis.vectors.T
+        assert np.abs(gram - np.eye(300)).max() <= 1e-10
+        reduced = reduction_matrix(basis, ham)
+        tol = 1e-10 * max(np.abs(basis.tridiag.diag).max(), basis.tridiag.offdiag.max())
+        assert np.abs(reduced - basis.tridiag.to_dense()).max() <= tol
+
     def test_betas_strictly_positive(self):
         ham = ising_operator(IsingParams(8))
         basis = lanczos_iterate(ham, random_state(ham.dim, 5), 40)
@@ -118,6 +134,20 @@ class TestBasisInvariants:
         for t in (1.0, 5.0):
             exact = exact_evolve_dense(ham, psi, t)
             assert true_infidelity(krylov_evolve(basis, t), exact) <= 1e-10
+
+
+class TestReorthogonalize:
+    def test_second_pass_on_near_dependent_residual(self):
+        # w is V[0] up to 1e-10: one pass leaves an overlap of about 1e-6 of
+        # what remains, so only the DGKS second pass reaches 1e-14.
+        rng = np.random.default_rng(4)
+        dim, k = 400, 12
+        raw = rng.standard_normal((dim, k)) + 1j * rng.standard_normal((dim, k))
+        vecs = np.linalg.qr(raw)[0].T
+        r = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        w, norm = _reorthogonalize(vecs[0] + 1e-10 * r / np.linalg.norm(r), vecs)
+        assert np.abs(vecs.conj() @ w).max() <= 1e-14 * norm
+        assert norm == np.linalg.norm(w)
 
 
 class TestExtendOne:

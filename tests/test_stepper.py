@@ -130,6 +130,21 @@ class TestEvolveAdaptive:
         report = evolve_adaptive(ham, psi, 20.0, 1e-8, 12)
         assert abs(np.linalg.norm(report.final_state) - 1.0) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "kind, steps",
+        [
+            ("extra_site_exact", 41),
+            ("extra_site_averaged", 41),
+            ("extra_site_hybrid", 41),
+            ("toeplitz_analytic", 41),
+            ("park_light", 43),
+        ],
+    )
+    def test_step_counts_pinned(self, kind, steps):
+        ham = ising_operator(IsingParams(10))
+        report = evolve_adaptive(ham, random_state(ham.dim, 1), 50.0, 1e-8, 30, kind)
+        assert len(report.steps) == steps
+
     def test_argument_validation(self):
         ham = ising_operator(IsingParams(6))
         psi = random_state(ham.dim, 1)
