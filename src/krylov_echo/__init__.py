@@ -7,7 +7,6 @@ including an adaptive time-stepping driver and a CSV experiment harness.
 
 from .estimators import (
     AveragedCoefficients,
-    ErrorEstimate,
     averaged_coefficients,
     echo_general,
     estimate_extra_site_averaged,
@@ -39,7 +38,6 @@ from .models import (
     random_state,
 )
 from .propagator import (
-    WavepacketProfile,
     krylov_evolve,
     project_profile,
     reduced_coefficients,

@@ -36,7 +36,7 @@ from .linalg import (
     exact_evolve_dense,
 )
 from .models import IsingParams, goe_sample, gue_sample, ising_operator, random_state
-from .propagator import true_infidelity
+from .propagator import project_profile, true_infidelity
 from .stateio import write_state
 from .stepper import StepRecord, evolve_adaptive
 from .toeplitz import toeplitz_echo
@@ -114,11 +114,15 @@ def _coerce(key: str, raw: str):
     """Parse a raw string into the type ``ExperimentConfig`` declares for ``key``.
 
     Tuples are comma-separated lists of their item type (string items are
-    stripped); booleans accept 1/true/yes/on, case-insensitively.
+    stripped); booleans accept 1/true/yes/on and 0/false/no/off,
+    case-insensitively, and any other word raises ``ValueError``.
     """
     kind = typing.get_type_hints(ExperimentConfig)[key]
     if kind is bool:
-        return raw.strip().lower() in ("1", "true", "yes", "on")
+        word = raw.strip().lower()
+        if word not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+            raise ValueError(f"{key}={raw!r} is not a boolean (1/true/yes/on or 0/false/no/off)")
+        return word in ("1", "true", "yes", "on")
     if typing.get_origin(kind) is tuple:
         item = typing.get_args(kind)[0]
         parse = str.strip if item is str else item
@@ -163,8 +167,10 @@ def build_model(cfg: ExperimentConfig, oracle: bool = False) -> tuple[LinearOper
         return value
 
     if cfg.model == "ising":
-        op = ising_operator(IsingParams(cfg.n, J=cfg.J, h_x=cfg.h_x, h_z=cfg.h_z))
-        return op, random_state(dim(op.dim), cfg.seed)
+        params = IsingParams(cfg.n, J=cfg.J, h_x=cfg.h_x, h_z=cfg.h_z)
+        dim(params.dim)
+        op = ising_operator(params)
+        return op, random_state(op.dim, cfg.seed)
     if cfg.model == "goe":
         return goe_sample(dim(cfg.n), cfg.seed), random_state(cfg.n, cfg.seed + STATE_SEED_OFFSET)
     if cfg.model == "gue":
@@ -274,9 +280,8 @@ def cmd_snapshots(cfg: ExperimentConfig) -> None:
     pop_krylov[:, : reduced.n] = np.abs(_end_states(reduced.eigen(), times)) ** 2
 
     def exact_profiles(block):
-        # |<v_i|state>|^2 on every stored site, as project_profile forms it for one state.
         states = exact_evolve_dense(hamiltonian, psi, block, cap=cfg.oracle_cap)
-        return np.abs(states.conj() @ basis.vectors.T) ** 2
+        return project_profile(basis, states)
 
     pop_exact = _over_times(exact_profiles, times, hamiltonian.dim)
     rows = zip(

@@ -11,7 +11,8 @@ treated as homogeneous.
 Every echo estimator picks a truncated and a reference chain and returns
 ``1 - |echo|^2`` of their end states through the kernel of
 :func:`krylov_echo.propagator.true_infidelity`. Functions of time take a
-scalar ``t`` or a 1-D array; the two agree to about ``2 sqrt(eps) u``.
+scalar ``t`` or a 1-D array and return a scalar or one value per time; the
+two agree to about ``2 sqrt(eps) u``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .linalg import (
     DEFAULT_ORACLE_CAP,
     LinearOperator,
     SymmetricTridiagonal,
-    TridiagonalEigen,
     _over_chains,
     _over_times,
     _overlaps,
@@ -42,7 +42,6 @@ __all__ = [
     "AveragedCoefficients",
     "BoundEstimator",
     "ESTIMATOR_NAMES",
-    "ErrorEstimate",
     "averaged_coefficients",
     "bind_estimator",
     "echo_general",
@@ -55,31 +54,7 @@ __all__ = [
     "oracle_infidelities",
 ]
 
-ORACLE = "oracle"
 EXTRA_SITE_EXACT = "extra_site_exact"
-EXTRA_SITE_AVERAGED = "extra_site_averaged"
-TOEPLITZ_ANALYTIC = "toeplitz_analytic"
-PARK_LIGHT = "park_light"
-
-# Names accepted by bind_estimator and the CLI; "extra_site_averaged" uses
-# the literal history-averaged coupling, "extra_site_hybrid" the exactly
-# known residual coupling.
-ESTIMATOR_NAMES = (
-    EXTRA_SITE_EXACT,
-    EXTRA_SITE_AVERAGED,
-    "extra_site_hybrid",
-    TOEPLITZ_ANALYTIC,
-    PARK_LIGHT,
-)
-
-
-@dataclass(frozen=True)
-class ErrorEstimate:
-    """A time-stamped infidelity estimate of one kind; arrays for an array of times."""
-
-    value: float | np.ndarray
-    time: float | np.ndarray
-    kind: str
 
 
 @dataclass(frozen=True)
@@ -103,12 +78,6 @@ class BoundEstimator:
 
     def __call__(self, t):
         return self.evaluate(t)
-
-
-def _estimate(kind: str, t, reduce, *chains: TridiagonalEigen) -> ErrorEstimate:
-    """``reduce`` of the chains' end states, per time of ``t``, as an estimate of ``kind``."""
-    value = _over_chains(reduce, t, *chains)
-    return ErrorEstimate(value, _per_time(t, np.array(t, dtype=float, ndmin=1)), kind)
 
 
 def _zero(t):
@@ -153,7 +122,7 @@ def _require_history(basis: KrylovBasis) -> None:
         raise ValueError("estimator needs a basis of size >= 2 (no history to average)")
 
 
-def estimate_extra_site_exact(extended: KrylovBasis, t) -> ErrorEstimate:
+def estimate_extra_site_exact(extended: KrylovBasis, t):
     """Error estimate from one exactly known extra chain site.
 
     ``extended`` must be the (N+1)-site basis produced by
@@ -162,13 +131,13 @@ def estimate_extra_site_exact(extended: KrylovBasis, t) -> ErrorEstimate:
     its evolution is exact and the estimate is exactly zero.
     """
     if extended.breakdown:
-        return ErrorEstimate(_zero(t), _per_time(t, _times(t)), EXTRA_SITE_EXACT)
+        return _zero(t)
     _require_history(extended)
     full = extended.tridiag
-    return _estimate(EXTRA_SITE_EXACT, t, _infidelity, full.prefix(full.n - 1).eigen(), full.eigen())
+    return _over_chains(_infidelity, t, full.prefix(full.n - 1).eigen(), full.eigen())
 
 
-def estimate_extra_site_averaged(basis: KrylovBasis, t, mode: str = "literal") -> ErrorEstimate:
+def estimate_extra_site_averaged(basis: KrylovBasis, t, mode: str = "literal"):
     """Extra-site estimate with the unknown site coefficients averaged away.
 
     literal mode appends a site with onsite alpha_bar and coupling beta_bar,
@@ -183,11 +152,10 @@ def estimate_extra_site_averaged(basis: KrylovBasis, t, mode: str = "literal") -
     coupling = avg.beta_bar if mode == "literal" else basis.residual_beta
     tri = basis.tridiag
     reference = tri.append_site(avg.alpha_bar, coupling)
-    kind = EXTRA_SITE_AVERAGED if mode == "literal" else "extra_site_hybrid"
-    return _estimate(kind, t, _infidelity, tri.eigen(), reference.eigen())
+    return _over_chains(_infidelity, t, tri.eigen(), reference.eigen())
 
 
-def estimate_toeplitz_analytic(basis: KrylovBasis, t) -> ErrorEstimate:
+def estimate_toeplitz_analytic(basis: KrylovBasis, t):
     """Closed-form estimate treating the chain as homogeneous.
 
     Compares the analytic end states of homogeneous chains of sizes N and
@@ -197,10 +165,10 @@ def estimate_toeplitz_analytic(basis: KrylovBasis, t) -> ErrorEstimate:
     avg = averaged_coefficients(basis)
     truncated = _toeplitz_eigen(basis.size, avg.alpha_bar, avg.beta_bar)
     reference = _toeplitz_eigen(basis.size + 1, avg.alpha_bar, avg.beta_bar)
-    return _estimate(TOEPLITZ_ANALYTIC, t, _infidelity, truncated, reference)
+    return _over_chains(_infidelity, t, truncated, reference)
 
 
-def estimate_park_light(basis: KrylovBasis, t) -> ErrorEstimate:
+def estimate_park_light(basis: KrylovBasis, t):
     """End-of-chain population ``|<e_N| exp(-i T t) |e_1>|^2``.
 
     The classic comparison baseline: the error is taken as the population
@@ -209,7 +177,7 @@ def estimate_park_light(basis: KrylovBasis, t) -> ErrorEstimate:
     def last_population(states):
         return np.minimum(np.abs(states[:, -1]) ** 2, 1.0)
 
-    return _estimate(PARK_LIGHT, t, last_population, basis.tridiag.eigen())
+    return _over_chains(last_population, t, basis.tridiag.eigen())
 
 
 def extra_site_band(basis: KrylovBasis, t) -> tuple:
@@ -260,10 +228,22 @@ def estimate_oracle(
     t: float,
     *,
     cap: int = DEFAULT_ORACLE_CAP,
-) -> ErrorEstimate:
+) -> float:
     """True infidelity against the dense evolution oracle at one time (verification only)."""
-    value = float(oracle_infidelities(basis, hamiltonian, t, cap=cap))
-    return ErrorEstimate(value, float(t), ORACLE)
+    return float(oracle_infidelities(basis, hamiltonian, t, cap=cap))
+
+
+# Names accepted by bind_estimator and the CLI, each with its eps(basis, t), looked up
+# when called; "extra_site_averaged" uses the literal history-averaged coupling,
+# "extra_site_hybrid" the exactly known residual coupling.
+_EVALUATORS = {
+    EXTRA_SITE_EXACT: lambda basis, t: estimate_extra_site_exact(basis, t),
+    "extra_site_averaged": lambda basis, t: estimate_extra_site_averaged(basis, t, mode="literal"),
+    "extra_site_hybrid": lambda basis, t: estimate_extra_site_averaged(basis, t, mode="hybrid"),
+    "toeplitz_analytic": lambda basis, t: estimate_toeplitz_analytic(basis, t),
+    "park_light": lambda basis, t: estimate_park_light(basis, t),
+}
+ESTIMATOR_NAMES = tuple(_EVALUATORS)
 
 
 def bind_estimator(
@@ -277,21 +257,13 @@ def bind_estimator(
     yields the exactly-zero estimator for every kind and keeps the input
     basis: its evolution is exact.
     """
-    if name not in ESTIMATOR_NAMES:
+    if name not in _EVALUATORS:
         raise ValueError(f"unknown estimator {name!r}; expected one of {ESTIMATOR_NAMES}")
     if basis.breakdown:
         return BoundEstimator(_zero, basis)
     if name == EXTRA_SITE_EXACT:
         if hamiltonian is None:
             raise ValueError("extra_site_exact needs the Hamiltonian to extend the basis")
-        extended = extend_one(basis, hamiltonian)
-        return BoundEstimator(lambda t: estimate_extra_site_exact(extended, t).value, extended)
-    if name == EXTRA_SITE_AVERAGED:
-        evaluate = lambda t: estimate_extra_site_averaged(basis, t, mode="literal").value
-    elif name == "extra_site_hybrid":
-        evaluate = lambda t: estimate_extra_site_averaged(basis, t, mode="hybrid").value
-    elif name == TOEPLITZ_ANALYTIC:
-        evaluate = lambda t: estimate_toeplitz_analytic(basis, t).value
-    else:
-        evaluate = lambda t: estimate_park_light(basis, t).value
-    return BoundEstimator(evaluate, basis)
+        basis = extend_one(basis, hamiltonian)
+    evaluate = _EVALUATORS[name]
+    return BoundEstimator(lambda t: evaluate(basis, t), basis)

@@ -47,6 +47,11 @@ class IsingParams:
         if not np.isfinite([self.J, self.h_x, self.h_z]).all():
             raise ValueError("J, h_x and h_z must be finite")
 
+    @property
+    def dim(self) -> int:
+        """Hilbert-space dimension ``2**n_spins``."""
+        return 2**self.n_spins
+
 
 class IsingOperator(LinearOperator):
     """Matrix-free H = sum_k (h_x sx_k + h_z sz_k) - J sum_k sz_k sz_{k+1}.
@@ -59,7 +64,7 @@ class IsingOperator(LinearOperator):
     def __init__(self, params: IsingParams):
         if params.n_spins > MAX_ISING_SPINS:
             raise ValueError(f"n_spins {params.n_spins} exceeds cap {MAX_ISING_SPINS}")
-        super().__init__(2**params.n_spins)
+        super().__init__(params.dim)
         self.params = params
         idx = np.arange(self.dim)
         diag = np.zeros(self.dim)

@@ -2,28 +2,17 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .lanczos import KrylovBasis
 from .linalg import _end_states, _per_time
 
 __all__ = [
-    "WavepacketProfile",
     "krylov_evolve",
     "project_profile",
     "reduced_coefficients",
     "true_infidelity",
 ]
-
-
-@dataclass(frozen=True)
-class WavepacketProfile:
-    """Populations |<v_i|state>|^2 over the stored chain sites at one time."""
-
-    site_populations: np.ndarray
-    time: float
 
 
 def reduced_coefficients(basis: KrylovBasis, t) -> np.ndarray:
@@ -45,15 +34,14 @@ def krylov_evolve(basis: KrylovBasis, t) -> np.ndarray:
     return basis.source_norm * (reduced_coefficients(basis, t) @ basis.vectors)
 
 
-def project_profile(basis: KrylovBasis, state: np.ndarray, time: float = 0.0) -> WavepacketProfile:
-    """Populations of ``state`` on the stored basis vectors."""
+def project_profile(basis: KrylovBasis, state: np.ndarray) -> np.ndarray:
+    """Populations ``|<v_i|state>|^2`` on the stored basis vectors; one row per row of a ``(T, D)`` block."""
     state = np.asarray(state, dtype=np.complex128)
-    if state.shape != (basis.source_dim,):
+    if state.ndim not in (1, 2) or state.shape[-1] != basis.source_dim:
         raise ValueError(
             f"state shape {state.shape} does not match source_dim {basis.source_dim}"
         )
-    amplitudes = (basis.vectors @ state.conj()).conj()
-    return WavepacketProfile(np.abs(amplitudes) ** 2, float(time))
+    return np.abs(state.conj() @ basis.vectors.T) ** 2
 
 
 def _infidelity(a: np.ndarray, b: np.ndarray) -> np.ndarray:

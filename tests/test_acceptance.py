@@ -103,7 +103,7 @@ def test_criterion_3_extra_site_tracking(ising10_sweeps):
         window = (run.errors >= WINDOW_LOW) & (run.errors <= WINDOW_HIGH)
         deviations = []
         for t, eps in zip(ts[window], run.errors[window]):
-            est = estimate_extra_site_exact(run.extended, t).value
+            est = estimate_extra_site_exact(run.extended, t)
             deviations.append(abs(np.log10(max(est, 1e-300)) - np.log10(eps)))
         fraction = float(np.mean(np.asarray(deviations) <= 1.0))
         worst_fraction = min(worst_fraction, fraction)
@@ -125,7 +125,7 @@ def test_criterion_4_averaged_bound_constancy(ising10_sweeps):
     for seed, run in runs.items():
         window = (run.errors >= WINDOW_LOW) & (run.errors <= WINDOW_HIGH)
         log_ratios = [
-            np.log10(estimate_extra_site_averaged(run.basis, t).value / eps)
+            np.log10(estimate_extra_site_averaged(run.basis, t) / eps)
             for t, eps in zip(ts[window], run.errors[window])
         ]
         worst_std = max(worst_std, float(np.std(log_ratios)))

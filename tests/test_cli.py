@@ -58,6 +58,17 @@ class TestConfigHandling:
         assert values["times"] == (1.0, 2.5)
         assert values["band"] is True
 
+    def test_boolean_off_word(self, tmp_path):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("band=off\n")
+        assert load_config_file(cfg_file)["band"] is False
+
+    def test_misspelt_boolean_rejected(self, tmp_path):
+        cfg_file = tmp_path / "bad.cfg"
+        cfg_file.write_text("band=ture\n")
+        with pytest.raises(ValueError, match="band='ture' is not a boolean"):
+            load_config_file(cfg_file)
+
     def test_unknown_key_rejected(self, tmp_path):
         cfg_file = tmp_path / "bad.cfg"
         cfg_file.write_text("nonsense=1\n")
@@ -187,21 +198,31 @@ class TestRegimesCommand:
         assert "oracle_cap" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("model", ["goe", "gue"])
+    @pytest.mark.parametrize(
+        "model, n, dim, builder",
+        [
+            ("goe", 3000, 3000, "goe_sample"),
+            ("gue", 3000, 3000, "gue_sample"),
+            ("ising", 20, 2**20, "ising_operator"),
+        ],
+        ids=["goe", "gue", "ising"],
+    )
     @pytest.mark.parametrize(
         "command", ["regimes", "bounds", "snapshots --times 0,1"], ids=["regimes", "bounds", "snapshots"]
     )
-    def test_oracle_cap_refuses_before_sampling(self, tmp_path, capsys, monkeypatch, command, model):
+    def test_oracle_cap_refuses_before_sampling(
+        self, tmp_path, capsys, monkeypatch, command, model, n, dim, builder
+    ):
         def never(*args):
-            raise AssertionError("the matrix was drawn before the oracle cap was checked")
+            raise AssertionError("the operator was built before the oracle cap was checked")
 
-        monkeypatch.setattr(cli, f"{model}_sample", never)
+        monkeypatch.setattr(cli, builder, never)
         out = tmp_path / "never.csv"
-        rc = main(f"{command} --model {model} --n 3000 --oracle-cap 2048 --out {out}".split())
+        rc = main(f"{command} --model {model} --n {n} --oracle-cap 2048 --out {out}".split())
         assert rc == 1
         err = capsys.readouterr().err
         assert (
-            "this experiment needs the dense oracle, but dimension 3000 exceeds oracle_cap 2048"
+            f"this experiment needs the dense oracle, but dimension {dim} exceeds oracle_cap 2048"
             in err
         )
         assert not out.exists()

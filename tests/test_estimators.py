@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from krylov_echo import estimators
 from krylov_echo.estimators import (
     ESTIMATOR_NAMES,
     bind_estimator,
@@ -76,14 +77,14 @@ class TestEchoGeneral:
 class TestExtraSiteExact:
     def test_zero_at_zero(self, ising_setup):
         *_, extended = ising_setup
-        assert estimate_extra_site_exact(extended, 0.0).value <= 1e-15
+        assert estimate_extra_site_exact(extended, 0.0) <= 1e-15
 
     def test_tracks_oracle_within_decade(self, ising_setup):
         ham, psi, basis, extended = ising_setup
         for t in np.linspace(1.4, 2.0, 13):
             exact = exact_evolve_dense(ham, psi, t)
             eps = true_infidelity(krylov_evolve(basis, t), exact)
-            est = estimate_extra_site_exact(extended, t).value
+            est = estimate_extra_site_exact(extended, t)
             if 1e-12 <= eps <= 1e-3:
                 assert abs(np.log10(est) - np.log10(eps)) <= 1.0
 
@@ -96,7 +97,7 @@ class TestExtraSiteExact:
         eps = np.array(
             [true_infidelity(krylov_evolve(basis, t), exact_evolve_dense(ham, psi, t)) for t in ts]
         )
-        est = np.array([estimate_extra_site_exact(extended, t).value for t in ts])
+        est = np.array([estimate_extra_site_exact(extended, t) for t in ts])
         window = (eps >= 1e-12) & (eps <= 1e-3) & (est > 0)
         assert window.sum() >= 20
         corr = np.corrcoef(np.log10(est[window]), np.log10(eps[window]))[0, 1]
@@ -107,8 +108,7 @@ class TestExtraSiteExact:
         basis = lanczos_iterate(op, basis_state(3), 2)
         assert basis.breakdown
         est = estimate_extra_site_exact(basis, 5.0)
-        assert est.value == 0.0
-        assert est.kind == "extra_site_exact"
+        assert est == 0.0
 
 
 class TestExtraSiteAveraged:
@@ -118,14 +118,14 @@ class TestExtraSiteAveraged:
             basis, DenseOperator(SymmetricTridiagonal(np.zeros(24), np.ones(23)).to_dense())
         )
         for t in (0.5, 3.0, 11.0):
-            literal = estimate_extra_site_averaged(basis, t, mode="literal").value
-            exact = estimate_extra_site_exact(extended, t).value
+            literal = estimate_extra_site_averaged(basis, t, mode="literal")
+            exact = estimate_extra_site_exact(extended, t)
             assert abs(literal - exact) <= 1e-12
 
     def test_zero_at_zero(self, ising_setup):
         _, _, basis, _ = ising_setup
         for mode in ("literal", "hybrid"):
-            assert estimate_extra_site_averaged(basis, 0.0, mode=mode).value <= 1e-15
+            assert estimate_extra_site_averaged(basis, 0.0, mode=mode) <= 1e-15
 
     def test_overestimation_stays_constant(self, ising_setup):
         # The ratio to the true error holds steady through the build-up window.
@@ -135,17 +135,16 @@ class TestExtraSiteAveraged:
             exact = exact_evolve_dense(ham, psi, t)
             eps = true_infidelity(krylov_evolve(basis, t), exact)
             if 1e-12 <= eps <= 1e-3:
-                est = estimate_extra_site_averaged(basis, t).value
+                est = estimate_extra_site_averaged(basis, t)
                 log_ratios.append(np.log10(est / eps))
         assert len(log_ratios) >= 8
         assert np.std(log_ratios) <= 1.0
 
     def test_hybrid_differs_from_literal_on_inhomogeneous(self, ising_setup):
         _, _, basis, _ = ising_setup
-        literal = estimate_extra_site_averaged(basis, 1.8, mode="literal").value
+        literal = estimate_extra_site_averaged(basis, 1.8, mode="literal")
         hybrid = estimate_extra_site_averaged(basis, 1.8, mode="hybrid")
-        assert literal != hybrid.value
-        assert hybrid.kind == "extra_site_hybrid"
+        assert literal != hybrid
 
     def test_requires_history(self):
         basis = homogeneous_basis(1)
@@ -158,7 +157,7 @@ class TestExtraSiteAveraged:
 class TestToeplitzAnalytic:
     def test_zero_at_zero(self, ising_setup):
         _, _, basis, _ = ising_setup
-        assert estimate_toeplitz_analytic(basis, 0.0).value <= 1e-15
+        assert estimate_toeplitz_analytic(basis, 0.0) <= 1e-15
 
     def test_decoupled_chain_never_leaks(self):
         vectors = np.eye(3, dtype=np.complex128)
@@ -172,7 +171,7 @@ class TestToeplitzAnalytic:
             source_norm=1.0,
         )
         for t in (0.5, 8.0, 100.0):
-            assert estimate_toeplitz_analytic(basis, t).value <= 1e-12
+            assert estimate_toeplitz_analytic(basis, t) <= 1e-12
 
     def test_matches_exact_on_homogeneous_chain(self):
         basis = homogeneous_basis(30, dim=40)
@@ -180,15 +179,15 @@ class TestToeplitzAnalytic:
             basis, DenseOperator(SymmetricTridiagonal(np.zeros(40), np.ones(39)).to_dense())
         )
         for t in np.linspace(0.0, 20.0, 11):
-            analytic = estimate_toeplitz_analytic(basis, t).value
-            exact = estimate_extra_site_exact(extended, t).value
+            analytic = estimate_toeplitz_analytic(basis, t)
+            exact = estimate_extra_site_exact(extended, t)
             assert abs(analytic - exact) <= 1e-8
 
 
 class TestParkLight:
     def test_zero_at_zero(self):
         basis = homogeneous_basis(10)
-        assert estimate_park_light(basis, 0.0).value == 0.0
+        assert estimate_park_light(basis, 0.0) == 0.0
 
     def test_single_site_chain(self):
         tri = SymmetricTridiagonal([1.3], [])
@@ -201,7 +200,7 @@ class TestParkLight:
             source_norm=1.0,
         )
         for t in (0.0, 2.0, 50.0):
-            assert estimate_park_light(basis, t).value == pytest.approx(1.0, abs=1e-12)
+            assert estimate_park_light(basis, t) == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_transition_amplitude(self):
         n = 30
@@ -209,7 +208,7 @@ class TestParkLight:
         chain = ToeplitzChain(n, 0.0, 1.0)
         for t in (0.8, 4.4, 13.0):
             expected = abs(toeplitz_transition(chain, n, 1, t)) ** 2
-            assert abs(estimate_park_light(basis, t).value - expected) <= 1e-10
+            assert abs(estimate_park_light(basis, t) - expected) <= 1e-10
 
 
 class TestAveragedCoefficients:
@@ -243,11 +242,11 @@ class TestCrossEstimatorProperties:
     def test_all_vanish_at_zero(self, ising_setup):
         _, _, basis, extended = ising_setup
         values = [
-            estimate_extra_site_exact(extended, 0.0).value,
-            estimate_extra_site_averaged(basis, 0.0).value,
-            estimate_extra_site_averaged(basis, 0.0, mode="hybrid").value,
-            estimate_toeplitz_analytic(basis, 0.0).value,
-            estimate_park_light(basis, 0.0).value,
+            estimate_extra_site_exact(extended, 0.0),
+            estimate_extra_site_averaged(basis, 0.0),
+            estimate_extra_site_averaged(basis, 0.0, mode="hybrid"),
+            estimate_toeplitz_analytic(basis, 0.0),
+            estimate_park_light(basis, 0.0),
         ]
         assert max(values) <= 1e-12
 
@@ -258,9 +257,9 @@ class TestCrossEstimatorProperties:
             basis, DenseOperator(SymmetricTridiagonal(np.zeros(40), np.ones(39)).to_dense())
         )
         for t in np.linspace(0.5, 15.0, 8):
-            exact = estimate_extra_site_exact(extended, t).value
-            literal = estimate_extra_site_averaged(basis, t).value
-            analytic = estimate_toeplitz_analytic(basis, t).value
+            exact = estimate_extra_site_exact(extended, t)
+            literal = estimate_extra_site_averaged(basis, t)
+            analytic = estimate_toeplitz_analytic(basis, t)
             assert abs(exact - literal) <= 1e-8
             assert abs(exact - analytic) <= 1e-8
 
@@ -268,7 +267,7 @@ class TestCrossEstimatorProperties:
         _, _, basis, _ = ising_setup
         for t in (1.6, 1.9):
             low, high = extra_site_band(basis, t)
-            literal = estimate_extra_site_averaged(basis, t).value
+            literal = estimate_extra_site_averaged(basis, t)
             assert low <= high
             assert low <= literal * (1 + 1e-9)
             # The literal estimate need not be inside the envelope in
@@ -285,8 +284,7 @@ class TestCrossEstimatorProperties:
         t = 1.8
         est = estimate_oracle(basis, ham, t)
         direct = true_infidelity(krylov_evolve(basis, t), exact_evolve_dense(ham, psi, t))
-        assert est.value == pytest.approx(direct, rel=1e-10)
-        assert est.kind == "oracle"
+        assert est == pytest.approx(direct, rel=1e-10)
 
 
 class TestSmallTimeFloor:
@@ -299,10 +297,10 @@ class TestSmallTimeFloor:
         )
         t = 1e-5
         values = [
-            estimate_extra_site_exact(extend_one(basis, ham), t).value,
-            estimate_extra_site_averaged(basis, t, mode="literal").value,
-            estimate_extra_site_averaged(basis, t, mode="hybrid").value,
-            estimate_toeplitz_analytic(basis, t).value,
+            estimate_extra_site_exact(extend_one(basis, ham), t),
+            estimate_extra_site_averaged(basis, t, mode="literal"),
+            estimate_extra_site_averaged(basis, t, mode="hybrid"),
+            estimate_toeplitz_analytic(basis, t),
             *extra_site_band(basis, t),
         ]
         assert values == pytest.approx([t**4 / 4] * len(values), rel=1e-4, abs=0.0)
@@ -338,7 +336,7 @@ class TestWindowFidelity:
                 )
                 if not 1e-12 <= eps <= 1e-3:
                     continue
-                est = estimate_extra_site_exact(extended, t).value
+                est = estimate_extra_site_exact(extended, t)
                 assert abs(np.log10(max(est, 1e-300)) - np.log10(eps)) <= 1.0
                 checked += 1
             assert checked >= 5
@@ -373,19 +371,36 @@ class TestBindEstimator:
             assert bound(4.0) == 0.0
             assert bound.basis is basis
 
+    @pytest.mark.parametrize("name", ESTIMATOR_NAMES)
+    def test_one_call_per_evaluation(self, ising_setup, monkeypatch, name):
+        # The benchmark's tracer counts evaluations by replacing these module attributes.
+        ham, _, basis, _ = ising_setup
+        target = "estimate_extra_site_averaged" if name == "extra_site_hybrid" else f"estimate_{name}"
+        original = getattr(estimators, target)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(estimators, target, counted)
+        bound = bind_estimator(name, basis, ham)
+        assert np.ndim(bound(1.5)) == 0
+        assert len(calls) == 1
+        assert bound(np.array([0.5, 1.0, 1.5])).shape == (3,)
+        assert len(calls) == 2
+
     def test_names_dispatch_consistently(self, ising_setup):
         ham, _, basis, extended = ising_setup
         t = 1.7
         assert bind_estimator("extra_site_exact", basis, ham)(t) == pytest.approx(
-            estimate_extra_site_exact(extended, t).value, rel=1e-12
+            estimate_extra_site_exact(extended, t), rel=1e-12
         )
         assert bind_estimator("extra_site_averaged", basis)(t) == estimate_extra_site_averaged(
             basis, t, mode="literal"
-        ).value
+        )
         assert bind_estimator("extra_site_hybrid", basis)(t) == estimate_extra_site_averaged(
             basis, t, mode="hybrid"
-        ).value
-        assert bind_estimator("toeplitz_analytic", basis)(t) == estimate_toeplitz_analytic(
-            basis, t
-        ).value
-        assert bind_estimator("park_light", basis)(t) == estimate_park_light(basis, t).value
+        )
+        assert bind_estimator("toeplitz_analytic", basis)(t) == estimate_toeplitz_analytic(basis, t)
+        assert bind_estimator("park_light", basis)(t) == estimate_park_light(basis, t)

@@ -96,22 +96,21 @@ class TestProjectProfile:
     def test_initial_state_localized(self, ising10):
         _, psi, basis = ising10
         profile = project_profile(basis, psi)
-        assert profile.site_populations[0] == pytest.approx(1.0, abs=1e-12)
-        assert profile.site_populations[1:].max() <= 1e-12
+        assert profile[0] == pytest.approx(1.0, abs=1e-12)
+        assert profile[1:].max() <= 1e-12
 
     def test_populations_bounded(self, ising10):
         ham, psi, basis = ising10
         state = exact_evolve_dense(ham, psi, 2.0)
-        profile = project_profile(basis, state, time=2.0)
-        assert profile.time == 2.0
-        assert (profile.site_populations >= 0).all()
-        assert (profile.site_populations <= 1.0).all()
-        assert profile.site_populations.sum() <= 1.0 + 1e-10
+        profile = project_profile(basis, state)
+        assert (profile >= 0).all()
+        assert (profile <= 1.0).all()
+        assert profile.sum() <= 1.0 + 1e-10
 
     def test_exponentially_suppressed_tail(self, ising10):
         ham, psi, basis = ising10
         state = exact_evolve_dense(ham, psi, 0.5)
-        pops = project_profile(basis, state).site_populations
+        pops = project_profile(basis, state)
         assert pops[:10].sum() >= 0.99
         assert pops[20:].max() <= 1e-12
 
@@ -120,14 +119,25 @@ class TestProjectProfile:
         t = 1.0
         exact_profile = project_profile(basis, exact_evolve_dense(ham, psi, t))
         krylov_profile = project_profile(basis, krylov_evolve(basis, t))
-        assert np.abs(
-            exact_profile.site_populations - krylov_profile.site_populations
-        ).max() <= 1e-8
+        assert np.abs(exact_profile - krylov_profile).max() <= 1e-8
+
+    def test_block_matches_per_state_rows(self, ising10):
+        ham, psi, basis = ising10
+        states = exact_evolve_dense(ham, psi, np.array([0.0, 0.5, 2.0]))
+        block = project_profile(basis, states)
+        rows = np.array([project_profile(basis, state) for state in states])
+        assert block.shape == (3, basis.size)
+        assert np.abs(block - rows).max() <= 1e-15
 
     def test_dimension_mismatch(self, ising10):
         _, _, basis = ising10
         with pytest.raises(ValueError, match="does not match"):
             project_profile(basis, np.zeros(12, dtype=complex))
+
+    def test_three_dimensional_block_rejected(self, ising10):
+        _, _, basis = ising10
+        with pytest.raises(ValueError, match="does not match"):
+            project_profile(basis, np.zeros((2, 2, basis.source_dim), dtype=complex))
 
 
 class TestTrueInfidelity:

@@ -38,11 +38,11 @@ class TestMaxStep:
         budget, t_cap = 1e-10, 20.0
         dt = max_step_for_tolerance(basis, budget, "toeplitz_analytic", t_cap=t_cap)
         ts = np.arange(0.05, t_cap, 5e-4)
-        values = np.array([estimate_toeplitz_analytic(basis, t).value for t in ts])
+        values = np.array([estimate_toeplitz_analytic(basis, t) for t in ts])
         crossing = ts[int(np.argmax(values > budget))]
         assert dt < crossing
         assert abs(dt / 0.9 - crossing) <= 3e-3 * crossing
-        assert estimate_toeplitz_analytic(basis, dt).value <= budget
+        assert estimate_toeplitz_analytic(basis, dt) <= budget
 
     def test_hopping_rescales_step(self):
         # Doubling the chain hopping halves the admissible step.

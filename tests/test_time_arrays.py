@@ -42,11 +42,11 @@ def eps_functions(setup):
     ham, basis, extended = setup
     band = lambda t: extra_site_band(basis, t)
     return {
-        "extra_site_exact": lambda t: estimate_extra_site_exact(extended, t).value,
-        "extra_site_averaged": lambda t: estimate_extra_site_averaged(basis, t).value,
-        "extra_site_hybrid": lambda t: estimate_extra_site_averaged(basis, t, "hybrid").value,
-        "toeplitz_analytic": lambda t: estimate_toeplitz_analytic(basis, t).value,
-        "park_light": lambda t: estimate_park_light(basis, t).value,
+        "extra_site_exact": lambda t: estimate_extra_site_exact(extended, t),
+        "extra_site_averaged": lambda t: estimate_extra_site_averaged(basis, t),
+        "extra_site_hybrid": lambda t: estimate_extra_site_averaged(basis, t, "hybrid"),
+        "toeplitz_analytic": lambda t: estimate_toeplitz_analytic(basis, t),
+        "park_light": lambda t: estimate_park_light(basis, t),
         "band_low": lambda t: band(t)[0],
         "band_high": lambda t: band(t)[1],
         "bound_hybrid": bind_estimator("extra_site_hybrid", basis),
@@ -116,12 +116,10 @@ def test_state_array_matches_per_time_calls(state_functions, name):
     assert np.abs(batched - looped).max() <= 1e-14
 
 
-def test_estimate_carries_its_times(setup):
+def test_estimate_has_the_shape_of_its_times(setup):
     _, basis, _ = setup
-    estimate = estimate_park_light(basis, TIMES)
-    assert np.array_equal(estimate.time, TIMES)
-    assert estimate.value.shape == TIMES.shape
-    assert estimate_park_light(basis, 1.5).time == 1.5
+    assert estimate_park_light(basis, TIMES).shape == TIMES.shape
+    assert np.ndim(estimate_park_light(basis, 1.5)) == 0
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
