@@ -6,7 +6,6 @@ including an adaptive time-stepping driver and a CSV experiment harness.
 """
 
 from .estimators import (
-    AveragedCoefficients,
     averaged_coefficients,
     echo_general,
     estimate_extra_site_averaged,
@@ -26,9 +25,6 @@ from .linalg import (
     basis_state,
     eig_sym_tridiagonal,
     exact_evolve_dense,
-    expi_tridiagonal_apply,
-    inner,
-    normalized,
 )
 from .models import (
     IsingParams,
@@ -51,13 +47,6 @@ from .stepper import (
     evolve_adaptive,
     max_step_for_tolerance,
 )
-from .toeplitz import (
-    ToeplitzChain,
-    rescaling_check,
-    toeplitz_echo,
-    toeplitz_eigenvalue,
-    toeplitz_eigenvector_component,
-    toeplitz_transition,
-)
+from .toeplitz import rescaling_check, toeplitz_echo
 
 __version__ = "0.1.0"

@@ -115,7 +115,8 @@ def _coerce(key: str, raw: str):
 
     Tuples are comma-separated lists of their item type (string items are
     stripped); booleans accept 1/true/yes/on and 0/false/no/off,
-    case-insensitively, and any other word raises ``ValueError``.
+    case-insensitively. Any other value raises a ``ValueError`` naming
+    ``key`` and ``raw``.
     """
     kind = typing.get_type_hints(ExperimentConfig)[key]
     if kind is bool:
@@ -123,11 +124,14 @@ def _coerce(key: str, raw: str):
         if word not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
             raise ValueError(f"{key}={raw!r} is not a boolean (1/true/yes/on or 0/false/no/off)")
         return word in ("1", "true", "yes", "on")
-    if typing.get_origin(kind) is tuple:
-        item = typing.get_args(kind)[0]
-        parse = str.strip if item is str else item
-        return tuple(parse(tok) for tok in raw.split(",") if tok.strip())
-    return kind(raw)
+    try:
+        if typing.get_origin(kind) is tuple:
+            item = typing.get_args(kind)[0]
+            parse = str.strip if item is str else item
+            return tuple(parse(tok) for tok in raw.split(",") if tok.strip())
+        return kind(raw)
+    except ValueError as exc:
+        raise ValueError(f"{key}={raw!r}: {exc}") from None
 
 
 def load_config_file(path) -> dict:
@@ -144,7 +148,10 @@ def load_config_file(path) -> dict:
             key, raw = (tok.strip() for tok in line.split("=", 1))
             if key not in known or key == "command":
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = _coerce(key, raw)
+            try:
+                values[key] = _coerce(key, raw)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
     return values
 
 

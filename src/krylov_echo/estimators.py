@@ -39,7 +39,6 @@ from .propagator import _infidelity, krylov_evolve
 from .toeplitz import _toeplitz_eigen
 
 __all__ = [
-    "AveragedCoefficients",
     "BoundEstimator",
     "ESTIMATOR_NAMES",
     "averaged_coefficients",
@@ -55,14 +54,6 @@ __all__ = [
 ]
 
 EXTRA_SITE_EXACT = "extra_site_exact"
-
-
-@dataclass(frozen=True)
-class AveragedCoefficients:
-    """History averages of the chain coefficients (energy units)."""
-
-    alpha_bar: float
-    beta_bar: float
 
 
 @dataclass(frozen=True)
@@ -90,7 +81,7 @@ def echo_general(tri_a: SymmetricTridiagonal, tri_b: SymmetricTridiagonal, t):
 
     Both chains are implicitly zero-padded to the common size; because the
     padding carries no onsite energy and no coupling, each evolution stays
-    inside its own chain and the echo reduces to an inner product of the two
+    inside its own chain and the echo reduces to the overlap of the two
     propagated end states, O(size^2) per time once the eigendecompositions
     are cached.
     """
@@ -105,8 +96,8 @@ def _coupling_history(basis: KrylovBasis) -> np.ndarray:
     return betas
 
 
-def averaged_coefficients(basis: KrylovBasis) -> AveragedCoefficients:
-    """Arithmetic means of the recurrence coefficients.
+def averaged_coefficients(basis: KrylovBasis) -> tuple[float, float]:
+    """Arithmetic means ``(alpha_bar, beta_bar)`` of the recurrence coefficients.
 
     The hopping average includes the residual coupling when the recurrence
     produced one: for a size-N basis that is exactly the set beta_1..beta_N,
@@ -114,7 +105,7 @@ def averaged_coefficients(basis: KrylovBasis) -> AveragedCoefficients:
     """
     betas = _coupling_history(basis)
     beta_bar = float(betas.mean()) if betas.size else 0.0
-    return AveragedCoefficients(float(basis.tridiag.diag.mean()), beta_bar)
+    return float(basis.tridiag.diag.mean()), beta_bar
 
 
 def _require_history(basis: KrylovBasis) -> None:
@@ -148,10 +139,10 @@ def estimate_extra_site_averaged(basis: KrylovBasis, t, mode: str = "literal"):
     _require_history(basis)
     if mode not in ("literal", "hybrid"):
         raise ValueError(f"unknown mode {mode!r}; expected 'literal' or 'hybrid'")
-    avg = averaged_coefficients(basis)
-    coupling = avg.beta_bar if mode == "literal" else basis.residual_beta
+    alpha_bar, beta_bar = averaged_coefficients(basis)
+    coupling = beta_bar if mode == "literal" else basis.residual_beta
     tri = basis.tridiag
-    reference = tri.append_site(avg.alpha_bar, coupling)
+    reference = tri.append_site(alpha_bar, coupling)
     return _over_chains(_infidelity, t, tri.eigen(), reference.eigen())
 
 
@@ -162,9 +153,9 @@ def estimate_toeplitz_analytic(basis: KrylovBasis, t):
     N+1 with the history-averaged coefficients; no eigensolve is performed.
     """
     _require_history(basis)
-    avg = averaged_coefficients(basis)
-    truncated = _toeplitz_eigen(basis.size, avg.alpha_bar, avg.beta_bar)
-    reference = _toeplitz_eigen(basis.size + 1, avg.alpha_bar, avg.beta_bar)
+    alpha_bar, beta_bar = averaged_coefficients(basis)
+    truncated = _toeplitz_eigen(basis.size, alpha_bar, beta_bar)
+    reference = _toeplitz_eigen(basis.size + 1, alpha_bar, beta_bar)
     return _over_chains(_infidelity, t, truncated, reference)
 
 

@@ -102,9 +102,9 @@ def lanczos_iterate(hamiltonian: LinearOperator, psi: np.ndarray, n_steps: int) 
     hamiltonian : LinearOperator
         Hermitian operator; only ``apply`` is used.
     psi : array
-        Starting state; normalized internally (its norm is remembered for
-        evolution). The zero state and states with NaN or inf entries are
-        rejected.
+        Starting state; scaled to unit norm internally (its norm is
+        remembered for evolution). The zero state and states with NaN or
+        inf entries are rejected.
     n_steps : int
         Requested basis size, ``1 <= n_steps <= hamiltonian.dim``.
 

@@ -23,33 +23,12 @@ __all__ = [
     "basis_state",
     "eig_sym_tridiagonal",
     "exact_evolve_dense",
-    "expi_tridiagonal_apply",
-    "inner",
-    "normalized",
 ]
 
 # The dense evolution oracle refuses dimensions above this unless overridden.
 DEFAULT_ORACLE_CAP = 4096
 # Size of one block of exact states the oracle forms at once.
 _ORACLE_BLOCK_BYTES = 1 << 20
-
-
-def inner(u: np.ndarray, v: np.ndarray) -> complex:
-    """Hermitian inner product ``sum_i conj(u_i) v_i``."""
-    u = np.asarray(u)
-    v = np.asarray(v)
-    if u.shape != v.shape:
-        raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    return complex(np.vdot(u, v))
-
-
-def normalized(state: np.ndarray) -> np.ndarray:
-    """Unit-norm complex copy of ``state``; rejects the zero vector."""
-    state = np.asarray(state, dtype=np.complex128)
-    nrm = np.linalg.norm(state)
-    if nrm == 0.0:
-        raise ValueError("cannot normalize the zero state")
-    return state / nrm
 
 
 def basis_state(dim: int, index: int = 0) -> np.ndarray:
@@ -142,20 +121,6 @@ def eig_sym_tridiagonal(tri: SymmetricTridiagonal) -> TridiagonalEigen:
         return TridiagonalEigen(tri.diag.copy(), np.ones((1, 1)))
     evals, evecs = eigh_tridiagonal(tri.diag, tri.offdiag)
     return TridiagonalEigen(evals, evecs)
-
-
-def expi_tridiagonal_apply(tri: SymmetricTridiagonal, t, vec: np.ndarray) -> np.ndarray:
-    """Apply ``exp(-i T t)`` to ``vec`` through the spectral decomposition.
-
-    An array ``t`` gives one state per time. Norm is preserved to machine
-    precision; ``t = 0`` returns the input unchanged.
-    """
-    vec = np.asarray(vec, dtype=np.complex128)
-    if vec.shape != (tri.n,):
-        raise ValueError(f"vector shape {vec.shape} does not match size {tri.n}")
-    eig = tri.eigen()
-    coeffs = _coefficients(eig.eigenvectors, vec)
-    return _per_time(t, _spectral_states(eig.eigenvalues, eig.eigenvectors, coeffs, t, vec))
 
 
 def _times(t) -> np.ndarray:

@@ -34,6 +34,17 @@ def ising_dense_oracle(params: IsingParams) -> np.ndarray:
     return ham
 
 
+def chain_transition(n_sites: int, n: int, n_prime: int, t: float) -> complex:
+    """Textbook amplitude ``<n| exp(+i T t) |n'>`` of the chain with onsite 0 and hopping 1.
+
+    ``(2/(N+1)) sum_k sin(n k pi/(N+1)) sin(n' k pi/(N+1)) exp(i t E_k)``
+    with ``E_k = 2 cos(k pi/(N+1))``, in plain numpy.
+    """
+    theta = np.arange(1, n_sites + 1) * np.pi / (n_sites + 1)
+    terms = np.sin(n * theta) * np.sin(n_prime * theta) * np.exp(2j * t * np.cos(theta))
+    return 2.0 / (n_sites + 1) * terms.sum()
+
+
 def hermiticity_defect(op, rng: np.random.Generator, probes: int = 4) -> float:
     """Max relative defect of <u|Hv> = conj(<v|Hu>) over random probes."""
     worst = 0.0

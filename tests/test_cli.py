@@ -81,6 +81,16 @@ class TestConfigHandling:
         with pytest.raises(ValueError, match="key=value"):
             load_config_file(cfg_file)
 
+    def test_malformed_number_in_file_names_key_and_line(self, tmp_path, capsys):
+        cfg_file = tmp_path / "bad.cfg"
+        cfg_file.write_text("model=ising\nn=abc\n")
+        assert main(["regimes", "--config", str(cfg_file)]) == 1
+        assert f"{cfg_file}:2: n='abc'" in capsys.readouterr().err
+
+    def test_malformed_number_on_command_line_names_key(self, capsys):
+        assert main(["snapshots", "--times", "1,abc"]) == 1
+        assert "times='1,abc'" in capsys.readouterr().err
+
     def test_cli_overrides_file(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text("n=4\nkrylov_n=16\npoints=12\nt_max=2.0\nseed=9\n")

@@ -1,4 +1,4 @@
-"""Core kernel: inner products, tridiagonal spectra, propagators, dense oracle."""
+"""Core kernel: tridiagonal spectra, propagators, dense oracle."""
 
 import tracemalloc
 
@@ -12,12 +12,10 @@ from krylov_echo.lanczos import lanczos_iterate
 from krylov_echo.linalg import (
     DenseOperator,
     SymmetricTridiagonal,
+    _end_states,
     basis_state,
     eig_sym_tridiagonal,
     exact_evolve_dense,
-    expi_tridiagonal_apply,
-    inner,
-    normalized,
 )
 from krylov_echo.models import IsingParams, goe_sample, gue_sample, ising_operator, random_state
 from krylov_echo.propagator import krylov_evolve, true_infidelity
@@ -25,29 +23,6 @@ from krylov_echo.propagator import krylov_evolve, true_infidelity
 
 def random_tridiagonal(n, rng):
     return SymmetricTridiagonal(rng.standard_normal(n), np.abs(rng.standard_normal(n - 1)) + 0.1)
-
-
-class TestInner:
-    def test_unit_norm(self):
-        u = np.array([1.0, 0.0], dtype=complex)
-        assert inner(u, u) == 1.0
-
-    def test_orthogonality(self):
-        assert inner(np.array([1, 0], dtype=complex), np.array([0, 1], dtype=complex)) == 0.0
-
-    def test_hadamard_pair(self):
-        u = np.array([1, 1], dtype=complex) / np.sqrt(2)
-        v = np.array([1, -1], dtype=complex) / np.sqrt(2)
-        assert abs(inner(u, v)) < 1e-16
-
-    def test_conjugates_first_argument(self):
-        u = np.array([1j, 0.0])
-        v = np.array([1.0, 0.0])
-        assert inner(u, v) == pytest.approx(-1j)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            inner(np.zeros(2), np.zeros(3))
 
 
 class TestEigSymTridiagonal:
@@ -96,49 +71,40 @@ class TestEigSymTridiagonal:
 
 
 class TestExpiTridiagonal:
+    """``exp(-i T t)|1>`` on a tridiagonal chain: the end states every estimator uses."""
+
     def test_identity_at_zero(self, rng):
         tri = random_tridiagonal(7, rng)
-        v = rng.standard_normal(7) + 1j * rng.standard_normal(7)
-        assert np.array_equal(expi_tridiagonal_apply(tri, 0.0, v), v)
+        assert np.array_equal(_end_states(tri.eigen(), 0.0)[0], basis_state(7))
 
     def test_single_bond_rabi(self):
-        tri = SymmetricTridiagonal([0.0, 0.0], [1.0])
-        for t in (0.3, 1.7, 4.0):
-            out = expi_tridiagonal_apply(tri, t, basis_state(2))
-            assert np.allclose(out, [np.cos(t), -1j * np.sin(t)], atol=1e-14)
+        ts = np.array([0.3, 1.7, 4.0])
+        out = _end_states(SymmetricTridiagonal([0.0, 0.0], [1.0]).eigen(), ts)
+        assert np.allclose(out, np.stack([np.cos(ts), -1j * np.sin(ts)], axis=1), atol=1e-14)
 
     def test_against_dense_expm(self, rng):
         # Scaling-and-squaring oracle on the dense embedding.
         tri = random_tridiagonal(8, rng)
-        v = normalized(rng.standard_normal(8) + 1j * rng.standard_normal(8))
         t = 3.7
-        expected = expm(-1j * t * tri.to_dense()) @ v
-        assert np.abs(expi_tridiagonal_apply(tri, t, v) - expected).max() <= 1e-10
+        expected = expm(-1j * t * tri.to_dense())[:, 0]
+        assert np.abs(_end_states(tri.eigen(), t)[0] - expected).max() <= 1e-10
 
     def test_norm_preserved(self, rng):
-        tri = random_tridiagonal(25, rng)
-        v = normalized(rng.standard_normal(25) + 1j * rng.standard_normal(25))
-        for t in (0.5, 12.0, 250.0):
-            assert abs(np.linalg.norm(expi_tridiagonal_apply(tri, t, v)) - 1.0) <= 1e-12
+        out = _end_states(random_tridiagonal(25, rng).eigen(), [0.5, 12.0, 250.0])
+        assert np.abs(np.linalg.norm(out, axis=1) - 1.0).max() <= 1e-12
 
     def test_time_composition(self, rng):
         tri = random_tridiagonal(12, rng)
-        v = normalized(rng.standard_normal(12) + 1j * rng.standard_normal(12))
         t1, t2 = 1.3, 2.9
-        once = expi_tridiagonal_apply(tri, t1 + t2, v)
-        twice = expi_tridiagonal_apply(tri, t2, expi_tridiagonal_apply(tri, t1, v))
+        once = _end_states(tri.eigen(), t1 + t2)[0]
+        twice = exact_evolve_dense(DenseOperator(tri.to_dense()), _end_states(tri.eigen(), t1)[0], t2)
         assert np.abs(once - twice).max() <= 1e-10
-
-    def test_dimension_mismatch(self, rng):
-        tri = random_tridiagonal(5, rng)
-        with pytest.raises(ValueError, match="does not match"):
-            expi_tridiagonal_apply(tri, 1.0, np.zeros(4, dtype=complex))
 
 
 class TestExactEvolveDense:
-    def test_identity_at_zero(self, rng):
+    def test_identity_at_zero(self):
         op = DenseOperator(np.diag([1.0, 2.0, 3.0]))
-        psi = normalized(rng.standard_normal(3) + 1j * rng.standard_normal(3))
+        psi = random_state(3, 1)
         assert np.allclose(exact_evolve_dense(op, psi, 0.0), psi, atol=1e-15)
 
     def test_two_level_analytic(self):
@@ -150,7 +116,7 @@ class TestExactEvolveDense:
     def test_unitary(self, rng):
         g = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
         op = DenseOperator((g + g.conj().T) / 2)
-        psi = normalized(rng.standard_normal(40) + 1j * rng.standard_normal(40))
+        psi = random_state(40, 2)
         out = exact_evolve_dense(op, psi, 17.0)
         assert abs(np.linalg.norm(out) - 1.0) <= 1e-11
 
@@ -318,10 +284,6 @@ class TestSymmetricTridiagonal:
 
 
 class TestStateHelpers:
-    def test_normalized_rejects_zero(self):
-        with pytest.raises(ValueError, match="zero"):
-            normalized(np.zeros(3))
-
     def test_basis_state_bounds(self):
         with pytest.raises(ValueError, match="out of range"):
             basis_state(3, 3)

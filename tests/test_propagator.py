@@ -13,7 +13,8 @@ from krylov_echo.propagator import (
     reduced_coefficients,
     true_infidelity,
 )
-from krylov_echo.toeplitz import ToeplitzChain, toeplitz_transition
+
+from conftest import chain_transition
 
 
 @pytest.fixture(scope="module")
@@ -87,8 +88,7 @@ class TestReducedCoefficients:
 
         basis = lanczos_iterate(DenseOperator(tri.to_dense()), basis_state(n), n)
         coeffs = reduced_coefficients(basis, t)
-        chain = ToeplitzChain(n, 0.0, 1.0)
-        column = np.array([toeplitz_transition(chain, m, 1, t) for m in range(1, n + 1)])
+        column = np.array([chain_transition(n, m, 1, t) for m in range(1, n + 1)])
         assert np.abs(column - coeffs.conj()).max() <= 1e-10
 
 

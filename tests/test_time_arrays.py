@@ -16,15 +16,10 @@ from krylov_echo.estimators import (
     extra_site_band,
 )
 from krylov_echo.lanczos import extend_one, lanczos_iterate
-from krylov_echo.linalg import exact_evolve_dense, expi_tridiagonal_apply
+from krylov_echo.linalg import _end_states, _per_time, exact_evolve_dense
 from krylov_echo.models import IsingParams, ising_operator, random_state
 from krylov_echo.propagator import krylov_evolve, reduced_coefficients
-from krylov_echo.toeplitz import (
-    ToeplitzChain,
-    toeplitz_echo,
-    toeplitz_end_state,
-    toeplitz_transition,
-)
+from krylov_echo.toeplitz import _toeplitz_eigen, toeplitz_echo
 
 # t = 0 first, then the plateau, the build-up window and the collapse.
 TIMES = np.concatenate([[0.0], np.linspace(0.05, 4.0, 80)])
@@ -58,17 +53,13 @@ def eps_functions(setup):
 def state_functions(setup):
     ham, basis, extended = setup
     tri = basis.tridiag
-    chain = ToeplitzChain(12, 0.3, 0.8)
-    vec = random_state(tri.n, 4)
     return {
         "reduced_coefficients": lambda t: reduced_coefficients(basis, t),
         "krylov_evolve": lambda t: krylov_evolve(basis, t),
-        "expi_tridiagonal_apply": lambda t: expi_tridiagonal_apply(tri, t, vec),
         "exact_evolve_dense": lambda t: exact_evolve_dense(ham, basis.vectors[0], t),
         "echo_general": lambda t: echo_general(tri, extended.tridiag, t),
         "toeplitz_echo": lambda t: toeplitz_echo(12, 13, 0.3, 0.8, t),
-        "toeplitz_end_state": lambda t: toeplitz_end_state(12, 0.3, 0.8, t),
-        "toeplitz_transition": lambda t: toeplitz_transition(chain, 5, 2, t),
+        "toeplitz_end_state": lambda t: _per_time(t, _end_states(_toeplitz_eigen(12, 0.3, 0.8), t)),
     }
 
 
@@ -86,12 +77,10 @@ EPS_NAMES = [
 STATE_NAMES = [
     "reduced_coefficients",
     "krylov_evolve",
-    "expi_tridiagonal_apply",
     "exact_evolve_dense",
     "echo_general",
     "toeplitz_echo",
     "toeplitz_end_state",
-    "toeplitz_transition",
 ]
 
 

@@ -4,20 +4,8 @@ import numpy as np
 import pytest
 
 from krylov_echo.estimators import echo_general
-from krylov_echo.linalg import (
-    SymmetricTridiagonal,
-    basis_state,
-    eig_sym_tridiagonal,
-    expi_tridiagonal_apply,
-)
-from krylov_echo.toeplitz import (
-    ToeplitzChain,
-    rescaling_check,
-    toeplitz_echo,
-    toeplitz_eigenvalue,
-    toeplitz_eigenvector_component,
-    toeplitz_transition,
-)
+from krylov_echo.linalg import SymmetricTridiagonal, _end_states, basis_state, eig_sym_tridiagonal
+from krylov_echo.toeplitz import _toeplitz_eigen, rescaling_check, toeplitz_echo
 
 
 def homogeneous(n, alpha, beta):
@@ -26,98 +14,55 @@ def homogeneous(n, alpha, beta):
 
 class TestEigenpairs:
     def test_dimer(self):
-        chain = ToeplitzChain(2, 0.0, 1.0)
-        assert toeplitz_eigenvalue(chain, 1) == pytest.approx(1.0)
-        assert toeplitz_eigenvalue(chain, 2) == pytest.approx(-1.0)
+        assert _toeplitz_eigen(2, 0.0, 1.0).eigenvalues == pytest.approx([1.0, -1.0])
 
     def test_decoupled_chain(self):
-        chain = ToeplitzChain(7, 2.5, 0.0)
-        for k in range(1, 8):
-            assert toeplitz_eigenvalue(chain, k) == pytest.approx(2.5)
+        assert _toeplitz_eigen(7, 2.5, 0.0).eigenvalues == pytest.approx(np.full(7, 2.5))
 
     def test_matches_numeric_solver(self):
-        chain = ToeplitzChain(5, 0.0, 1.0)
-        analytic = sorted(toeplitz_eigenvalue(chain, k) for k in range(1, 6))
+        analytic = np.sort(_toeplitz_eigen(5, 0.0, 1.0).eigenvalues)
         numeric = eig_sym_tridiagonal(homogeneous(5, 0.0, 1.0)).eigenvalues
         assert np.allclose(analytic, numeric, atol=1e-12)
 
     def test_single_site_component(self):
-        assert toeplitz_eigenvector_component(ToeplitzChain(1, 0.0, 1.0), 1, 1) == pytest.approx(1.0)
+        assert _toeplitz_eigen(1, 0.0, 1.0).eigenvectors[0, 0] == pytest.approx(1.0)
 
     def test_component_columns_orthonormal(self):
-        chain = ToeplitzChain(30, 0.0, 1.0)
-        mat = np.array(
-            [[toeplitz_eigenvector_component(chain, n, k) for k in range(1, 31)] for n in range(1, 31)]
-        )
+        mat = _toeplitz_eigen(30, 0.0, 1.0).eigenvectors
         assert np.abs(mat.T @ mat - np.eye(30)).max() <= 1e-12
 
     def test_components_match_numeric_vectors(self):
-        chain = ToeplitzChain(5, 0.3, 0.9)
+        closed = _toeplitz_eigen(5, 0.3, 0.9)
         eig = eig_sym_tridiagonal(homogeneous(5, 0.3, 0.9))
-        analytic_evals = np.array([toeplitz_eigenvalue(chain, k) for k in range(1, 6)])
-        order = np.argsort(analytic_evals)
+        order = np.argsort(closed.eigenvalues)
         for col, k in enumerate(order):
-            analytic = np.array(
-                [toeplitz_eigenvector_component(chain, n, k + 1) for n in range(1, 6)]
-            )
+            analytic = closed.eigenvectors[:, k]
             numeric = eig.eigenvectors[:, col]
             sign = np.sign(np.dot(analytic, numeric))
             assert np.abs(analytic - sign * numeric).max() <= 1e-12
 
-    def test_index_range_errors(self):
-        chain = ToeplitzChain(3, 0.0, 1.0)
-        with pytest.raises(ValueError, match="out of range"):
-            toeplitz_eigenvalue(chain, 0)
-        with pytest.raises(ValueError, match="out of range"):
-            toeplitz_eigenvector_component(chain, 4, 1)
-        with pytest.raises(ValueError, match="out of range"):
-            toeplitz_transition(chain, 1, 5, 1.0)
-        with pytest.raises(ValueError, match="n_sites"):
-            ToeplitzChain(0, 0.0, 1.0)
-
 
 class TestTransition:
+    """The closed-form column ``exp(-i T t)|1>`` that the echo and the analytic estimator use."""
+
     def test_identity_at_zero(self):
-        chain = ToeplitzChain(6, 0.4, 1.1)
-        for n in range(1, 7):
-            for n_prime in range(1, 7):
-                expected = 1.0 if n == n_prime else 0.0
-                assert toeplitz_transition(chain, n, n_prime, 0.0) == pytest.approx(
-                    expected, abs=1e-14
-                )
+        # t = 1e-15 goes through the full mode sum, not the t = 0 shortcut.
+        states = _end_states(_toeplitz_eigen(6, 0.4, 1.1), [0.0, 1e-15])
+        assert np.abs(states - basis_state(6)).max() <= 1e-14
 
     def test_dimer_cosine(self):
-        chain = ToeplitzChain(2, 0.0, 1.0)
-        for t in (0.3, 1.9):
-            assert toeplitz_transition(chain, 1, 1, t) == pytest.approx(np.cos(t), abs=1e-14)
+        states = _end_states(_toeplitz_eigen(2, 0.0, 1.0), [0.3, 1.9])
+        assert np.abs(states[:, 0] - np.cos([0.3, 1.9])).max() <= 1e-14
 
     def test_column_matches_spectral_propagation(self):
-        # S encodes exp(+i T t); the propagator computes exp(-i T t).
         n, t = 30, 7.3
-        chain = ToeplitzChain(n, 0.0, 1.0)
-        column = np.array([toeplitz_transition(chain, m, 1, t) for m in range(1, n + 1)])
-        numeric = expi_tridiagonal_apply(homogeneous(n, 0.0, 1.0), -t, basis_state(n))
-        assert np.abs(column - numeric).max() <= 1e-10
+        closed = _end_states(_toeplitz_eigen(n, 0.0, 1.0), t)
+        numeric = _end_states(homogeneous(n, 0.0, 1.0).eigen(), t)
+        assert np.abs(closed - numeric).max() <= 1e-10
 
     def test_unitarity(self):
-        chain = ToeplitzChain(15, 0.2, 0.8)
-        for n in (1, 7, 15):
-            total = sum(
-                abs(toeplitz_transition(chain, n, m, 2.4)) ** 2 for m in range(1, 16)
-            )
-            assert total == pytest.approx(1.0, abs=1e-10)
-
-    def test_group_property(self):
-        n = 12
-        chain = ToeplitzChain(n, 0.1, 1.0)
-        t1, t2 = 0.9, 1.7
-
-        def smatrix(t):
-            return np.array(
-                [[toeplitz_transition(chain, a, b, t) for b in range(1, n + 1)] for a in range(1, n + 1)]
-            )
-
-        assert np.abs(smatrix(t1 + t2) - smatrix(t1) @ smatrix(t2)).max() <= 1e-9
+        states = _end_states(_toeplitz_eigen(15, 0.2, 0.8), [2.4, 40.0])
+        assert np.abs(np.linalg.norm(states, axis=1) - 1.0).max() <= 1e-10
 
 
 class TestEcho:
