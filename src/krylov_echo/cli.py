@@ -334,17 +334,14 @@ def cmd_bounds(cfg: ExperimentConfig) -> None:
 
 def cmd_toeplitz(cfg: ExperimentConfig) -> None:
     """Closed-form vs numerically propagated homogeneous-chain echo."""
-    n_sites = cfg.n
-    n_prime = cfg.n_prime or n_sites + 1
-    tri_a = SymmetricTridiagonal(np.full(n_sites, cfg.alpha), np.full(n_sites - 1, cfg.beta))
-    tri_b = SymmetricTridiagonal(np.full(n_prime, cfg.alpha), np.full(n_prime - 1, cfg.beta))
+    cfg = replace(cfg, n_prime=cfg.n_prime or cfg.n + 1)
+    tri_a = SymmetricTridiagonal(np.full(cfg.n, cfg.alpha), np.full(cfg.n - 1, cfg.beta))
+    tri_b = SymmetricTridiagonal(np.full(cfg.n_prime, cfg.alpha), np.full(cfg.n_prime - 1, cfg.beta))
     ts = _grid(cfg)
-    analytic = np.abs(toeplitz_echo(n_sites, n_prime, cfg.alpha, cfg.beta, ts)) ** 2
+    analytic = np.abs(toeplitz_echo(cfg.n, cfg.n_prime, cfg.alpha, cfg.beta, ts)) ** 2
     numeric = np.abs(echo_general(tri_a, tri_b, ts)) ** 2
     rows = zip(ts, analytic, numeric, np.abs(analytic - numeric))
-    comments = _config_comments(
-        cfg, ("n", "n_prime", "alpha", "beta", "t_min", "t_max", "points")
-    )
+    comments = _config_comments(cfg, ("n", "n_prime", "alpha", "beta", "t_min", "t_max", "points"))
     _write_csv(cfg.out, comments, ["t", "echo2_analytic", "echo2_numeric", "abs_diff"], rows)
 
 

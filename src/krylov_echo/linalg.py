@@ -226,14 +226,9 @@ class LinearOperator:
         raise NotImplementedError
 
     def to_dense(self) -> np.ndarray:
-        """Materialized matrix, built column by column; float64 while every column is real."""
-        dense = np.empty((self.dim, self.dim))
-        for j in range(self.dim):
-            col = self.apply(basis_state(self.dim, j))
-            if np.isrealobj(dense) and col.imag.any():
-                dense = dense.astype(np.complex128)
-            dense[:, j] = col if np.iscomplexobj(dense) else col.real
-        return dense
+        """Materialized matrix, one ``apply`` per column; float64 when every entry is real."""
+        dense = np.column_stack([self.apply(basis_state(self.dim, j)) for j in range(self.dim)])
+        return dense if dense.imag.any() else dense.real.copy()
 
     def dense_eigh(self) -> tuple[np.ndarray, np.ndarray]:
         """Cached eigenvalues and eigenvectors (columns) of the dense form.

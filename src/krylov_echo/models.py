@@ -1,8 +1,9 @@
 """Test Hamiltonians and seeded initial states.
 
-The Ising chain is applied bitwise and never materialized; the random-matrix
-ensembles are dense by construction and capped, since they exist only to
-validate estimators. All samplers are pure functions of (size, seed).
+The Ising chain is applied bitwise and built dense only for the oracle;
+the random-matrix ensembles are dense by construction and capped, since
+they exist only to validate estimators. All samplers are pure functions
+of (size, seed).
 """
 
 from __future__ import annotations
@@ -88,6 +89,13 @@ class IsingOperator(LinearOperator):
                 flipped = vec.reshape(-1, 2, 1 << k)[:, ::-1, :].reshape(self.dim)
                 out += h_x * flipped
         return out
+
+    def to_dense(self) -> np.ndarray:
+        """Real dense form, entry by entry: the diagonal, then ``h_x`` at each bit flip."""
+        dense, idx = np.diag(self._diag), np.arange(self.dim)
+        for k in range(self.params.n_spins):
+            dense[idx, idx ^ (1 << k)] += self.params.h_x
+        return dense
 
 
 def ising_operator(params: IsingParams) -> LinearOperator:

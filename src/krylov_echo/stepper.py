@@ -1,11 +1,11 @@
 """Adaptive evolution driver: restarted Krylov steps sized by cheap estimators.
 
 Long evolutions are followed as a sequence of patches: build a basis, take
-the longest step the estimator allows, map back, restart. Step errors can
-add coherently, so the budget is spent in amplitude: each step takes the
-largest ``dt`` with ``eps(dt) <= (r dt)^2``, ``r = (sqrt(tol) - sum
-sqrt(eps_k)) / t_remaining``. ``r`` never decreases, so the reported
-``infidelity_bound = (sum sqrt(eps_k))^2`` stays within ``tol``.
+the longest step the estimator allows (about four array calls of ``eps``),
+map back, restart. Step errors can add coherently, so the budget is spent in
+amplitude: each step takes the largest ``dt`` with ``eps(dt) <= (r dt)^2``,
+``r = (sqrt(tol) - sum sqrt(eps_k)) / t_remaining``. ``r`` never decreases,
+so the reported ``infidelity_bound = (sum sqrt(eps_k))^2`` stays within ``tol``.
 """
 
 from __future__ import annotations
@@ -34,6 +34,8 @@ __all__ = [
 MIN_STEP = 1e-6
 # Relative width at which the bisection on the first crossing stops.
 BISECT_RTOL = 1e-3
+# Ways each refinement call splits the bracket: five bisection halvings.
+_SPLITS = 32
 # Accepted steps back off from the measured crossing by this factor.
 SAFETY = 0.9
 
@@ -64,40 +66,40 @@ class EvolutionReport:
     infidelity_bound: float
 
 
-def _max_step(exceeds: Callable[[float], bool], t_cap: float) -> float:
-    """Largest step with ``not exceeds(dt)``, by doubling + bisection."""
-    if exceeds(MIN_STEP):
-        raise BudgetUnreachableError(
-            f"estimated error at the minimum step {MIN_STEP} already exceeds its "
-            "budget; increase the basis size or the tolerance"
-        )
-    # Geometric expansion until the estimator first climbs above budget.
-    low = high = MIN_STEP
-    while high < t_cap:
-        high = min(2.0 * low, t_cap)
-        if exceeds(high):
-            break
-        low = high
-    else:
-        return t_cap
-    # Bisection onto the first upward crossing inside (low, high).
+def _unreachable(what: str) -> BudgetUnreachableError:
+    return BudgetUnreachableError(f"{what}; increase the basis size or the tolerance")
+
+
+def _max_step(eps: Callable, budget: Callable, t_cap: float) -> tuple[float, float]:
+    """Largest step with ``eps(dt) <= budget(dt)``, and its ``eps``, in about four array calls.
+
+    One call on the doubling grid ``MIN_STEP 2^k`` (capped at ``t_cap``)
+    brackets the first crossing; each call on a ``_SPLITS``-way split at the
+    bisection midpoints narrows it, and two reach ``BISECT_RTOL``.
+    """
+    grid = [min(MIN_STEP, t_cap)]
+    while grid[-1] < t_cap:
+        grid.append(min(2.0 * grid[-1], t_cap))
+    grid = np.array(grid)
+    values = eps(grid)
+    over = values > budget(grid)
+    if over[0]:
+        raise _unreachable(f"estimated error at the minimum step {MIN_STEP} already exceeds its budget")
+    if not over.any():
+        return t_cap, float(values[-1])
+    low, high = grid[over.argmax() - 1], grid[over.argmax()]
     while high - low > BISECT_RTOL * low:
-        mid = 0.5 * (low + high)
-        if exceeds(mid):
-            high = mid
-        else:
-            low = mid
+        edges = np.linspace(low, high, _SPLITS + 1)
+        first = np.append(eps(edges[1:-1]) > budget(edges[1:-1]), True).argmax()
+        low, high = edges[first], edges[first + 1]
     # Back off, then verify: the recorded estimate must sit inside budget
     # even if the estimator is not locally monotone.
-    dt = SAFETY * low
-    while exceeds(dt):
+    dt = SAFETY * float(low)
+    while (estimate := float(eps(dt))) > budget(dt):
         if dt <= MIN_STEP:
-            raise BudgetUnreachableError(
-                f"no step above {MIN_STEP} satisfies its budget; "
-                "increase the basis size or the tolerance"
-            )
+            raise _unreachable(f"no step above {MIN_STEP} satisfies its budget")
         dt *= SAFETY
-    return dt
+    return dt, estimate
 
 
 def max_step_for_tolerance(
@@ -121,8 +123,7 @@ def max_step_for_tolerance(
         raise ValueError("t_cap must be positive and finite")
     if budget >= 1.0:
         return t_cap
-    eval_fn = bind_estimator(kind, basis, hamiltonian)
-    return _max_step(lambda dt: eval_fn(dt) > budget, t_cap)
+    return _max_step(bind_estimator(kind, basis, hamiltonian), lambda dt: budget, t_cap)[0]
 
 
 def evolve_adaptive(
@@ -160,25 +161,23 @@ def evolve_adaptive(
         tick = time.perf_counter()
         t_remaining = t_final - now
         eval_fn = bind_estimator(kind, lanczos_iterate(hamiltonian, state, n_krylov), hamiltonian)
-        basis = eval_fn.basis
         rate = (math.sqrt(tol) - spent_amplitude) / t_remaining
-        dt = _max_step(lambda step: eval_fn(step) > (rate * step) ** 2, t_remaining)
-        estimate = eval_fn(dt)
-        state = krylov_evolve(basis, dt)
+        dt, estimate = _max_step(eval_fn, lambda step: (rate * step) ** 2, t_remaining)
+        state = krylov_evolve(eval_fn.basis, dt)
         state = state / np.linalg.norm(state)
         spent_amplitude += math.sqrt(estimate)
         steps.append(
             StepRecord(
                 t_start=now,
                 dt=dt,
-                basis_size=basis.size,
+                basis_size=eval_fn.basis.size,
                 estimated_error=estimate,
                 estimator_kind=kind,
                 wall_time=time.perf_counter() - tick,
             )
         )
         now += dt
-        del eval_fn, basis  # free this step's basis before the next one is built
+        del eval_fn  # free this step's basis before the next one is built
 
     total = sum(step.estimated_error for step in steps)
     return EvolutionReport(

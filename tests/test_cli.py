@@ -473,6 +473,13 @@ class TestToeplitzCommand:
         _, header, rows = read_csv(out)
         assert column(header, rows, "abs_diff").max() <= 1e-8
 
+    @pytest.mark.parametrize("n_prime, written", [("", "11"), ("--n-prime 13", "13")])
+    def test_header_names_the_chain_used(self, tmp_path, n_prime, written):
+        out = tmp_path / "toep.csv"
+        assert main(f"toeplitz --n 10 {n_prime} --points 5 --t-max 5 --out {out}".split()) == 0
+        comments, _, _ = read_csv(out)
+        assert comments["n_prime"] == written
+
     def test_rescaling_between_runs(self, tmp_path):
         out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert main(

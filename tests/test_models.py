@@ -7,8 +7,9 @@ import pytest
 
 from conftest import hermiticity_defect, ising_dense_oracle
 
-from krylov_echo.linalg import basis_state
+from krylov_echo.linalg import LinearOperator, basis_state
 from krylov_echo.models import (
+    IsingOperator,
     IsingParams,
     goe_sample,
     gue_sample,
@@ -68,6 +69,50 @@ class TestIsingOperator:
             IsingParams(1)
         with pytest.raises(ValueError, match="cap"):
             ising_operator(IsingParams(21))
+
+
+class TestIsingDense:
+    @pytest.mark.parametrize(
+        "params",
+        [
+            IsingParams(6),
+            IsingParams(6, h_z=0.0),
+            IsingParams(6, h_x=0.0),
+            IsingParams(6, J=-0.8, h_x=-0.7, h_z=-0.3),
+            IsingParams(2),
+            IsingParams(10),
+        ],
+        ids=["defaults", "h_z=0", "h_x=0", "negative", "n=2", "n=10"],
+    )
+    def test_matches_column_by_column_build(self, params):
+        ham = IsingOperator(params)
+        dense = ham.to_dense()
+        reference = LinearOperator.to_dense(ham)
+        assert dense.dtype == reference.dtype == np.float64
+        assert np.array_equal(dense, reference)
+
+    def test_applies_nothing(self, monkeypatch):
+        calls = []
+        original = IsingOperator.apply
+
+        def counted(self, vec):
+            calls.append(1)
+            return original(self, vec)
+
+        monkeypatch.setattr(IsingOperator, "apply", counted)
+        IsingOperator(IsingParams(8)).to_dense()
+        assert calls == []
+
+    def test_peak_is_one_real_matrix(self):
+        ham = IsingOperator(IsingParams(8))
+        tracemalloc.start()
+        try:
+            ham.to_dense()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The float64 matrix plus index vectors; no complex or second D x D array.
+        assert peak <= 1.25 * ham.dim * ham.dim * 8
 
 
 class TestEnsembles:

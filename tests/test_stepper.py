@@ -10,7 +10,11 @@ from krylov_echo.linalg import DenseOperator, SymmetricTridiagonal, basis_state,
 from krylov_echo.models import IsingOperator, IsingParams, ising_operator, random_state
 from krylov_echo.propagator import true_infidelity
 from krylov_echo.stepper import (
+    BISECT_RTOL,
+    MIN_STEP,
+    SAFETY,
     BudgetUnreachableError,
+    _max_step,
     evolve_adaptive,
     max_step_for_tolerance,
 )
@@ -68,6 +72,90 @@ class TestMaxStep:
         basis = homogeneous_basis(5)
         with pytest.raises(ValueError, match="finite"):
             max_step_for_tolerance(basis, 1e-8, "toeplitz_analytic", t_cap=t_cap)
+
+
+class SyntheticEps:
+    """``eps(t)``: 1 where ``over(t)`` holds, else 0; records each call's times."""
+
+    def __init__(self, over):
+        self.over = over
+        self.calls = []
+
+    def __call__(self, t):
+        t = np.asarray(t, dtype=float)
+        self.calls.append(t)
+        return np.where(self.over(t), 1.0, 0.0)
+
+
+def half(dt):
+    return 0.5
+
+
+class TestMaxStepSearch:
+    # The doubling grid brackets the crossings below between 0.262144 and
+    # 0.524288; the 32-way refinement then samples every 0.008192.
+
+    def test_stops_at_first_crossing(self):
+        # Over in [0.3, 0.35] and from 0.45 on: a bisection would follow the
+        # midpoint 0.393216 up to the crossing at 0.45.
+        eps = SyntheticEps(lambda t: ((0.3 <= t) & (t <= 0.35)) | (t >= 0.45))
+        dt, estimate = _max_step(eps, half, 20.0)
+        assert dt == pytest.approx(SAFETY * 0.3, rel=BISECT_RTOL)
+        assert dt < SAFETY * 0.3
+        assert estimate == 0.0
+        # Doubling grid, two refinements, one verification.
+        assert len(eps.calls) == 4
+        assert [c.size for c in eps.calls[:3]] == [26, 31, 31]
+
+    def test_verification_backs_off(self):
+        # A spike at the backed-off step that no search point lands on.
+        eps = SyntheticEps(
+            lambda t: ((0.3 <= t) & (t <= 0.35)) | (t >= 0.45) | ((0.2695 <= t) & (t <= 0.27))
+        )
+        dt, estimate = _max_step(eps, half, 20.0)
+        assert dt == pytest.approx(SAFETY**2 * 0.3, rel=BISECT_RTOL)
+        assert estimate == 0.0
+        assert len(eps.calls) == 5
+
+    def test_no_crossing_returns_cap_with_its_estimate(self):
+        eps = SyntheticEps(lambda t: t > 100.0)
+        assert _max_step(eps, half, 20.0) == (20.0, 0.0)
+        assert len(eps.calls) == 1
+        assert eps.calls[0][-1] == 20.0
+        # Below the minimum step the grid is the cap alone.
+        assert _max_step(SyntheticEps(lambda t: t > 1.0), half, 1e-7) == (1e-7, 0.0)
+
+    @pytest.mark.parametrize(
+        "over, message",
+        [
+            (lambda t: t > 0.0, "minimum step"),
+            # Under budget only at exactly MIN_STEP: the back-off reaches it.
+            (lambda t: t != MIN_STEP, "no step above"),
+        ],
+        ids=["minimum-step", "back-off"],
+    )
+    def test_budget_unreachable_messages(self, over, message):
+        with pytest.raises(BudgetUnreachableError, match=message):
+            _max_step(SyntheticEps(over), half, 20.0)
+
+
+def count_estimator_calls(monkeypatch):
+    """Patch every estimator the stepper binds to record one entry per call."""
+    calls = []
+    for name in (
+        "estimate_extra_site_exact",
+        "estimate_extra_site_averaged",
+        "estimate_toeplitz_analytic",
+        "estimate_park_light",
+    ):
+        original = getattr(estimators, name)
+
+        def counted(*args, _original=original, **kwargs):
+            calls.append(1)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(estimators, name, counted)
+    return calls
 
 
 class TestEvolveAdaptive:
@@ -205,24 +293,22 @@ class TestEvolveAdaptive:
 
     @pytest.mark.parametrize("kind", ESTIMATOR_NAMES)
     def test_one_search_per_step(self, monkeypatch, kind):
-        calls = []
-        for name in (
-            "estimate_extra_site_exact",
-            "estimate_extra_site_averaged",
-            "estimate_toeplitz_analytic",
-            "estimate_park_light",
-        ):
-            original = getattr(estimators, name)
-
-            def counted(*args, _original=original, **kwargs):
-                calls.append(1)
-                return _original(*args, **kwargs)
-
-            monkeypatch.setattr(estimators, name, counted)
+        calls = count_estimator_calls(monkeypatch)
         ham = ising_operator(IsingParams(8))
         report = evolve_adaptive(ham, random_state(ham.dim, 1), 20.0, 1e-8, 20, kind=kind)
         assert len(report.steps) >= 2
         assert len(calls) <= 40 * len(report.steps)
+
+    @pytest.mark.parametrize("kind", ESTIMATOR_NAMES)
+    def test_search_evaluates_arrays(self, monkeypatch, kind):
+        # Doubling grid, two refinements and one verification per step, and
+        # no second evaluation of the accepted step: a search that fell back
+        # to scalar probes would make about 33 calls per step.
+        calls = count_estimator_calls(monkeypatch)
+        ham = ising_operator(IsingParams(8))
+        report = evolve_adaptive(ham, random_state(ham.dim, 1), 20.0, 1e-8, 20, kind=kind)
+        assert len(report.steps) >= 2
+        assert len(calls) <= 4 * len(report.steps)
 
     def test_extra_site_exact_applies_per_step(self, monkeypatch):
         # N applies build each step's basis and one extends it; the step
