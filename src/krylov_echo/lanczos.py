@@ -11,6 +11,11 @@ Gram-Schmidt. One pass is run, and a second only when the first left less
 than 1/sqrt(2) of the residual's norm: the test of Daniel, Gragg, Kaufman &
 Stewart (Math. Comp. 30, 1976). A second pass is always enough ("twice is
 enough", Giraud, Langou & Rozloznik, Comput. Math. Appl. 50, 2005).
+
+A step works in place on the fresh ``apply`` output: the two recurrence
+terms are subtracted from it by axpy, and each Gram-Schmidt pass is two BLAS
+matrix-vector products on the stored basis, so a step reads the basis twice
+and makes no vector-sized temporary.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.blas import zaxpy, zgemv
 
 from .linalg import LinearOperator, SymmetricTridiagonal
 
@@ -58,11 +64,14 @@ class KrylovBasis:
 
 def _reorthogonalize(w: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray, float]:
     # One Gram-Schmidt pass, a second if the DGKS test fails (see the module
-    # docstring); returns w and its norm. Conjugating w, not vecs, never copies
-    # the basis.
+    # docstring); returns w, overwritten, and its norm. Each pass is two zgemv
+    # calls on the Fortran-ordered view vecs.T: V^H w (trans=2, no conjugate
+    # copy), then w - V c into w itself.
+    basis = vecs.T
     norm = np.linalg.norm(w)
     for _ in range(2):
-        w = w - vecs.T @ (vecs @ w.conj()).conj()
+        coeffs = zgemv(1.0, basis, w, trans=2)
+        w = zgemv(-1.0, basis, coeffs, beta=1.0, y=w, overwrite_y=True)
         before, norm = norm, float(np.linalg.norm(w))
         if norm * np.sqrt(2.0) >= before:
             break
@@ -77,11 +86,13 @@ def _recurrence_step(
     Returns its onsite energy, the residual coupling and vector (0.0 and None
     on breakdown) and ``scale``, the largest coefficient magnitude, updated.
     """
-    x = hamiltonian.apply(vecs[j])
-    alpha = np.vdot(vecs[j], x).real
-    w = x - alpha * vecs[j]
+    w = hamiltonian.apply(vecs[j])
+    if np.may_share_memory(w, vecs):  # w is overwritten below; an apply may return its input
+        w = w.copy()
+    alpha = np.vdot(vecs[j], w).real
+    w = zaxpy(vecs[j], w, a=-alpha)
     if j > 0:
-        w = w - beta * vecs[j - 1]
+        w = zaxpy(vecs[j - 1], w, a=-beta)
     w, residual_beta = _reorthogonalize(w, vecs[: j + 1])
     scale = max(scale, abs(alpha))
     if residual_beta <= BREAKDOWN_RTOL * scale:

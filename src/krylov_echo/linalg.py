@@ -210,7 +210,8 @@ class LinearOperator:
 
     Subclasses implement :meth:`apply`. The operator must be linear and
     Hermitian; shared state is read-only after construction, so concurrent
-    applies on distinct vectors are safe. ``to_dense``/``dense_eigh`` exist
+    applies on distinct vectors are safe. The caller owns what ``apply``
+    returns: the Lanczos step overwrites it. ``to_dense``/``dense_eigh`` exist
     for verification at modest dimensions; only ``dense_eigh`` memoizes. A
     real operator stays real there: its dense form is float64 and so are
     its eigenvectors.

@@ -27,6 +27,8 @@ __all__ = [
 
 MAX_ISING_SPINS = 20
 MAX_ENSEMBLE_DIM = 4096
+# Adjacent sites whose sx flips one apply treats as a single matmul.
+_GROUP = 3
 
 
 @dataclass(frozen=True)
@@ -54,12 +56,23 @@ class IsingParams:
         return 2**self.n_spins
 
 
+def _flip_sum(n_bits: int) -> np.ndarray:
+    """The 0/1 matrix sum_k sx_k on ``n_bits`` sites: 1 where two indices differ in one bit."""
+    flips, idx = np.zeros((1 << n_bits, 1 << n_bits)), np.arange(1 << n_bits)
+    for k in range(n_bits):
+        flips[idx, idx ^ (1 << k)] = 1.0
+    return flips
+
+
 class IsingOperator(LinearOperator):
     """Matrix-free H = sum_k (h_x sx_k + h_z sz_k) - J sum_k sz_k sz_{k+1}.
 
     Basis index b encodes the spins bitwise: bit k = 0 means sz eigenvalue +1
-    at site k+1. sz terms are a precomputed diagonal; each sx_k flips bit k
-    through a strided reshape, so one apply costs O(n 2^n).
+    at site k+1. sz terms are a precomputed diagonal. The sx terms act in
+    groups of up to three adjacent sites: within a group at bits lo..lo+b-1
+    the flips sum to one 2^b x 2^b 0/1 matrix, applied as a single real
+    matmul on the float64 view of the vector (real and imaginary parts
+    alike), so one apply costs O(n 2^n) in about n/3 BLAS passes.
     """
 
     def __init__(self, params: IsingParams):
@@ -77,17 +90,35 @@ class IsingOperator(LinearOperator):
                 diag -= params.J * z_prev * z_k
             z_prev = z_k
         self._diag = diag
+        # The lowest group right-multiplies rows of (re, im) pairs, hence the
+        # kron with I2; a group at bit lo left-multiplies the view reshaped to
+        # (-1, 2^b, 2 * 2^lo).
+        n = params.n_spins
+        sizes = [(lo, min(_GROUP, n - lo)) for lo in range(0, n, _GROUP)]
+        b = sizes[0][1]
+        self._low_group = (2 << b, np.kron(_flip_sum(b), np.eye(2)))
+        self._groups = [(1 << b, 2 << lo, _flip_sum(b)) for lo, b in sizes[1:]]
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
-        vec = np.asarray(vec, dtype=np.complex128)
+        vec = np.ascontiguousarray(vec, dtype=np.complex128)
         if vec.shape != (self.dim,):
             raise ValueError(f"vector shape {vec.shape} does not match dim {self.dim}")
-        out = self._diag * vec
-        h_x = self.params.h_x
-        if h_x != 0.0:
-            for k in range(self.params.n_spins):
-                flipped = vec.reshape(-1, 2, 1 << k)[:, ::-1, :].reshape(self.dim)
-                out += h_x * flipped
+        if self.params.h_x == 0.0:
+            return self._diag * vec
+        out, tmp = np.empty_like(vec), np.empty_like(vec)
+        src, acc, part = vec.view(np.float64), out.view(np.float64), tmp.view(np.float64)
+        width, flips = self._low_group
+        np.matmul(src.reshape(-1, width), flips, out=acc.reshape(-1, width))
+        for rows, cols, flips in self._groups:
+            np.matmul(flips, src.reshape(-1, rows, cols), out=part.reshape(-1, rows, cols))
+            acc += part
+        acc *= self.params.h_x
+        # Real times real, part by part: mixing real and complex, or
+        # broadcasting the diagonal over (re, im) pairs, goes through ufunc
+        # buffers as large as the vector.
+        np.multiply(vec.real, self._diag, out=tmp.real)
+        np.multiply(vec.imag, self._diag, out=tmp.imag)
+        acc += part
         return out
 
     def to_dense(self) -> np.ndarray:

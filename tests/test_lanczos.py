@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from krylov_echo.lanczos import _reorthogonalize, extend_one, lanczos_iterate
-from krylov_echo.linalg import DenseOperator, basis_state, exact_evolve_dense
+from krylov_echo.linalg import DenseOperator, LinearOperator, basis_state, exact_evolve_dense
 from krylov_echo.models import IsingParams, goe_sample, ising_operator, random_state
 from krylov_echo.propagator import krylov_evolve, true_infidelity
 
@@ -41,6 +41,22 @@ class TestTrivialSystems:
         basis = lanczos_iterate(op, psi, 3)
         assert np.allclose(basis.vectors[0], psi / np.linalg.norm(psi), atol=1e-15)
         assert basis.source_norm == pytest.approx(3.0, rel=1e-12)
+
+
+class Identity(LinearOperator):
+    """Returns its input itself, as an operator may."""
+
+    def apply(self, vec):
+        return vec
+
+
+class TestAliasedApply:
+    def test_basis_survives_an_apply_that_returns_its_input(self):
+        psi = random_state(8, 3)
+        basis = lanczos_iterate(Identity(8), psi, 2)
+        assert basis.breakdown and basis.size == 1
+        assert np.allclose(basis.vectors[0], psi, atol=1e-15)
+        assert basis.tridiag.diag[0] == pytest.approx(1.0, abs=1e-15)
 
 
 class TestContractErrors:
@@ -148,6 +164,25 @@ class TestReorthogonalize:
         w, norm = _reorthogonalize(vecs[0] + 1e-10 * r / np.linalg.norm(r), vecs)
         assert np.abs(vecs.conj() @ w).max() <= 1e-14 * norm
         assert norm == np.linalg.norm(w)
+
+    def test_pass_allocates_no_vector(self):
+        # A copy of w, or of its conjugate, would be a whole D-vector.
+        rng = np.random.default_rng(5)
+        dim, k = 4096, 30
+        raw = rng.standard_normal((dim, k)) + 1j * rng.standard_normal((dim, k))
+        vecs = np.ascontiguousarray(np.linalg.qr(raw)[0].T)
+        w = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        _reorthogonalize(w.copy(), vecs)  # load the BLAS wrappers outside the measurement
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out, _ = _reorthogonalize(w, vecs)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * dim * 16
+        assert np.shares_memory(out, w)
+        assert np.abs(vecs.conj() @ out).max() <= 1e-13 * np.linalg.norm(out)
 
 
 class TestExtendOne:
