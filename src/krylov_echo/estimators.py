@@ -118,11 +118,9 @@ def estimate_extra_site_exact(extended: KrylovBasis, t):
 
     ``extended`` must be the (N+1)-site basis produced by
     :func:`krylov_echo.lanczos.extend_one`; the estimate compares the N-site
-    truncation against it. A breakdown basis spans an invariant subspace, so
-    its evolution is exact and the estimate is exactly zero.
+    truncation against it. When the extension itself broke down it spans an
+    invariant subspace, so that comparison is the exact N-site error.
     """
-    if extended.breakdown:
-        return _zero(t)
     _require_history(extended)
     full = extended.tridiag
     return _over_chains(_infidelity, t, full.prefix(full.n - 1).eigen(), full.eigen())

@@ -3,8 +3,8 @@
 The three-term recurrence maps the dynamics of (H, psi) onto a virtual
 tight-binding chain: onsite energies on the tridiagonal diagonal, hoppings on
 the off-diagonal, and the initial state localized at chain site 0. The
-residual coupling to the first *unstored* site is kept because it is exactly
-the hopping a one-site extension needs.
+next Lanczos vector and its coupling to the last stored site are kept
+because they are exactly what a one-site extension resumes from.
 
 Each new residual is re-projected against every stored vector by classical
 Gram-Schmidt. One pass is run, and a second only when the first left less
@@ -39,27 +39,31 @@ class KrylovBasis:
     """Orthonormal Lanczos vectors together with the reduced tridiagonal.
 
     ``vectors[i]`` is the i-th basis vector (shape ``(size, source_dim)``).
-    ``residual_beta`` is the coupling from the last stored chain site to the
-    prospective next one; ``residual`` holds the corresponding unnormalized
-    residual vector so a later extension can resume the recurrence exactly.
-    ``breakdown`` marks that the residual vanished: the stored span is an
-    invariant subspace and evolution inside it is exact from then on.
-    ``vectors`` leads ``buffer``, where a fresh basis keeps one spare row
-    that :func:`extend_one` fills in place instead of copying the basis.
+    ``residual_beta`` couples the last stored chain site to the next one; 0.0
+    marks ``breakdown``: the residual vanished, the stored span is invariant
+    and evolution inside it is exact. ``vectors`` leads ``buffer``, whose row
+    ``size`` holds the next Lanczos vector (unless broken down), followed in
+    a fresh basis by one spare row that :func:`extend_one` fills in place
+    instead of copying the basis. A basis built without a buffer cannot grow.
     """
 
     vectors: np.ndarray
     tridiag: SymmetricTridiagonal
     residual_beta: float
-    breakdown: bool
-    source_dim: int
     source_norm: float
-    residual: np.ndarray | None = field(default=None, repr=False)
     buffer: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def size(self) -> int:
         return self.tridiag.n
+
+    @property
+    def source_dim(self) -> int:
+        return self.vectors.shape[1]
+
+    @property
+    def breakdown(self) -> bool:
+        return self.residual_beta == 0.0
 
 
 def _reorthogonalize(w: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray, float]:
@@ -80,11 +84,12 @@ def _reorthogonalize(w: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray, float
 
 def _recurrence_step(
     hamiltonian: LinearOperator, vecs: np.ndarray, j: int, beta: float, scale: float
-) -> tuple[float, float, np.ndarray | None, float]:
-    """Fill chain site ``j`` of ``vecs``, which ``beta`` couples to site j-1.
+) -> tuple[float, float, float]:
+    """Recurrence at chain site ``j`` of ``vecs``, which ``beta`` couples to site j-1.
 
-    Returns its onsite energy, the residual coupling and vector (0.0 and None
-    on breakdown) and ``scale``, the largest coefficient magnitude, updated.
+    Returns its onsite energy, the residual coupling (0.0 on breakdown) and
+    ``scale``, the largest coefficient magnitude, updated; writes the next
+    Lanczos vector, the normalized residual, into ``vecs[j + 1]`` unless 0.0.
     """
     w = hamiltonian.apply(vecs[j])
     if np.may_share_memory(w, vecs):  # w is overwritten below; an apply may return its input
@@ -96,17 +101,16 @@ def _recurrence_step(
     w, residual_beta = _reorthogonalize(w, vecs[: j + 1])
     scale = max(scale, abs(alpha))
     if residual_beta <= BREAKDOWN_RTOL * scale:
-        return alpha, 0.0, None, scale
-    return alpha, residual_beta, w, max(scale, residual_beta)
+        return alpha, 0.0, scale
+    np.divide(w, residual_beta, out=vecs[j + 1])
+    return alpha, residual_beta, max(scale, residual_beta)
 
 
 def lanczos_iterate(hamiltonian: LinearOperator, psi: np.ndarray, n_steps: int) -> KrylovBasis:
     """Run the Lanczos recurrence for ``n_steps`` vectors.
 
-    Every new residual is re-projected against all stored vectors, a second
-    time when the DGKS test asks for it (see the module docstring), which is
-    what makes the orthonormality and reduction invariants hold at the 1e-10
-    level for large bases.
+    Reorthogonalizing every residual (see the module docstring) keeps the
+    orthonormality and reduction invariants at the 1e-10 level for large bases.
 
     Parameters
     ----------
@@ -123,8 +127,8 @@ def lanczos_iterate(hamiltonian: LinearOperator, psi: np.ndarray, n_steps: int) 
     -------
     KrylovBasis
         Basis of size ``min(n_steps, breakdown point)``. The final residual
-        norm is stored as ``residual_beta`` even when the next vector is not;
-        if it vanished the basis is flagged as ``breakdown``.
+        norm is ``residual_beta`` and the next vector waits in ``buffer``;
+        a vanished residual is stored as 0.0, which is ``breakdown``.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
@@ -139,31 +143,25 @@ def lanczos_iterate(hamiltonian: LinearOperator, psi: np.ndarray, n_steps: int) 
     if source_norm == 0.0:
         raise ValueError("cannot build a Krylov basis from the zero state")
 
+    # Rows: the basis, its next vector, one spare; betas[j] couples site j-1 to j.
     dim = hamiltonian.dim
-    vecs = np.zeros((min(n_steps + 1, dim), dim), dtype=np.complex128)
+    vecs = np.zeros((min(n_steps + 2, dim + 1), dim), dtype=np.complex128)
     alphas = np.zeros(n_steps)
-    betas = np.zeros(max(n_steps - 1, 0))
+    betas = np.zeros(n_steps + 1)
 
     vecs[0] = psi / source_norm
-    beta, residual, scale = 0.0, None, 0.0
-    size = n_steps
+    scale, size = 0.0, n_steps
     for j in range(n_steps):
-        if j > 0:
-            betas[j - 1] = beta
-            vecs[j] = residual / beta
-        alphas[j], beta, residual, scale = _recurrence_step(hamiltonian, vecs, j, beta, scale)
-        if residual is None:
+        alphas[j], betas[j + 1], scale = _recurrence_step(hamiltonian, vecs, j, betas[j], scale)
+        if betas[j + 1] == 0.0:
             vecs, size = vecs[: j + 1].copy(), j + 1
             break
 
     return KrylovBasis(
         vectors=vecs[:size],
-        tridiag=SymmetricTridiagonal(alphas[:size], betas[: size - 1]),
-        residual_beta=beta,
-        breakdown=residual is None,
-        source_dim=dim,
+        tridiag=SymmetricTridiagonal(alphas[:size], betas[1:size]),
+        residual_beta=float(betas[size]),
         source_norm=source_norm,
-        residual=residual,
         buffer=vecs,
     )
 
@@ -172,9 +170,10 @@ def extend_one(basis: KrylovBasis, hamiltonian: LinearOperator) -> KrylovBasis:
     """Grow the basis by one site, resuming the stored recurrence.
 
     Costs a single operator application and reproduces what
-    :func:`lanczos_iterate` with ``n_steps + 1`` would have produced. It writes
-    the spare row of ``basis.buffer`` (the same values on every call) and shares
-    that memory; an extension has no spare row and is copied to grow.
+    :func:`lanczos_iterate` with ``n_steps + 1`` would have produced. The new
+    site is the next vector already in ``basis.buffer``; its own next vector
+    goes into the spare row (the same values on every call), sharing that
+    memory. An extension has no spare row and is copied to grow.
     """
     if basis.breakdown:
         raise ValueError(
@@ -188,21 +187,15 @@ def extend_one(basis: KrylovBasis, hamiltonian: LinearOperator) -> KrylovBasis:
             f"operator dimension {hamiltonian.dim} does not match basis source_dim {basis.source_dim}"
         )
 
-    beta = basis.residual_beta
-    tri = basis.tridiag
-    buffer = basis.vectors if basis.buffer is None else basis.buffer
-    if buffer.shape[0] == tri.n:
+    beta, tri, buffer = basis.residual_beta, basis.tridiag, basis.buffer
+    if buffer.shape[0] == tri.n + 1:
         buffer = np.vstack([buffer, np.empty_like(buffer[:1])])
-    buffer[tri.n] = basis.residual / beta
     scale = max(float(np.abs(tri.diag).max()), float(tri.offdiag.max(initial=beta)))
-    alpha, residual_beta, residual, _ = _recurrence_step(hamiltonian, buffer, tri.n, beta, scale)
+    alpha, residual_beta, _ = _recurrence_step(hamiltonian, buffer, tri.n, beta, scale)
     return KrylovBasis(
         vectors=buffer[: tri.n + 1],
         tridiag=tri.append_site(alpha, beta),
         residual_beta=residual_beta,
-        breakdown=residual is None,
-        source_dim=basis.source_dim,
         source_norm=basis.source_norm,
-        residual=residual,
         buffer=buffer,
     )

@@ -99,10 +99,7 @@ class SymmetricTridiagonal:
         return self._derived[key]
 
     def to_dense(self) -> np.ndarray:
-        mat = np.diag(self.diag)
-        if self.n > 1:
-            mat += np.diag(self.offdiag, 1) + np.diag(self.offdiag, -1)
-        return mat
+        return np.diag(self.diag) + np.diag(self.offdiag, 1) + np.diag(self.offdiag, -1)
 
     def eigen(self) -> TridiagonalEigen:
         """Cached spectral decomposition (computed once per instance)."""
@@ -117,8 +114,6 @@ def eig_sym_tridiagonal(tri: SymmetricTridiagonal) -> TridiagonalEigen:
     Uses the LAPACK implicit-shift solvers behind
     :func:`scipy.linalg.eigh_tridiagonal`; deterministic for fixed input.
     """
-    if tri.n == 1:
-        return TridiagonalEigen(tri.diag.copy(), np.ones((1, 1)))
     evals, evecs = eigh_tridiagonal(tri.diag, tri.offdiag)
     return TridiagonalEigen(evals, evecs)
 
@@ -239,15 +234,12 @@ class LinearOperator:
         complex128 ones.
         """
         if self._dense_eigh is None:
-            dense = self.to_dense()
-            if np.iscomplexobj(dense) and not dense.imag.any():
-                dense = dense.real
-            self._dense_eigh = tuple(np.linalg.eigh(dense))
+            self._dense_eigh = tuple(np.linalg.eigh(self.to_dense()))
         return self._dense_eigh
 
 
 class DenseOperator(LinearOperator):
-    """Hermitian operator backed by an explicit matrix."""
+    """Hermitian operator backed by an explicit matrix, stored float64 when every entry is real."""
 
     def __init__(self, matrix: np.ndarray):
         matrix = np.asarray(matrix)
@@ -255,6 +247,8 @@ class DenseOperator(LinearOperator):
             raise ValueError("a nonempty square matrix is required")
         _check_hermitian(matrix)
         super().__init__(matrix.shape[0])
+        if np.iscomplexobj(matrix) and not matrix.imag.any():
+            matrix = matrix.real
         dtype = np.complex128 if np.iscomplexobj(matrix) else np.float64
         self.matrix = np.ascontiguousarray(matrix, dtype=dtype)
 

@@ -103,8 +103,6 @@ class IsingOperator(LinearOperator):
         vec = np.ascontiguousarray(vec, dtype=np.complex128)
         if vec.shape != (self.dim,):
             raise ValueError(f"vector shape {vec.shape} does not match dim {self.dim}")
-        if self.params.h_x == 0.0:
-            return self._diag * vec
         out, tmp = np.empty_like(vec), np.empty_like(vec)
         src, acc, part = vec.view(np.float64), out.view(np.float64), tmp.view(np.float64)
         width, flips = self._low_group

@@ -408,6 +408,21 @@ class TestBoundsCommand:
             assert cells[0] == ""
             assert np.isfinite([float(cell) for cell in cells[1:]]).all()
 
+    def test_exact_estimate_on_invariant_extension(self, tmp_path):
+        # N=10 on the 11-site chain: the one-site extension spans the whole
+        # space, so the exact kind must equal the oracle, not read 0.
+        out = tmp_path / "bounds.csv"
+        rc = main(
+            "bounds --model toeplitz --n 11 --krylov-n 10 --t-max 5 --points 6 "
+            f"--estimator extra_site_exact --estimator extra_site_hybrid --out {out}".split()
+        )
+        assert rc == 0
+        _, header, rows = read_csv(out)
+        ts = column(header, rows, "t")
+        ratios = column(header, rows[1:], "ratio_extra_site_exact")
+        assert ts[0] == 0.0 and (ts[1:] > 0.0).all()
+        assert np.abs(ratios - 1.0).max() <= 1e-12
+
     def test_band_columns(self, tmp_path):
         out = tmp_path / "bounds.csv"
         rc = main(

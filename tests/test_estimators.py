@@ -15,6 +15,7 @@ from krylov_echo.estimators import (
     estimate_park_light,
     estimate_toeplitz_analytic,
     extra_site_band,
+    oracle_infidelities,
 )
 from krylov_echo.lanczos import KrylovBasis, extend_one, lanczos_iterate
 from krylov_echo.linalg import (
@@ -104,12 +105,25 @@ class TestExtraSiteExact:
         corr = np.corrcoef(np.log10(est[window]), np.log10(eps[window]))[0, 1]
         assert corr >= 0.99
 
-    def test_breakdown_returns_zero(self):
+    def test_breakdown_basis_has_no_history(self):
+        # Exact zeros for a breakdown basis come from bind_estimator alone;
+        # passed straight in, a size-1 basis has no truncation to compare.
         op = DenseOperator(np.diag([1.0, 2.0, 3.0]))
         basis = lanczos_iterate(op, basis_state(3), 2)
-        assert basis.breakdown
-        est = estimate_extra_site_exact(basis, 5.0)
-        assert est == 0.0
+        assert basis.breakdown and basis.size == 1
+        with pytest.raises(ValueError, match="history"):
+            estimate_extra_site_exact(basis, 5.0)
+
+    def test_invariant_extension_gives_exact_error(self):
+        # The extension of N=10 on the 11-site chain spans the whole space,
+        # so comparing its first N sites with all N+1 is the true error.
+        op = DenseOperator(SymmetricTridiagonal(np.zeros(11), np.ones(10)).to_dense())
+        basis = lanczos_iterate(op, basis_state(11), 10)
+        extended = extend_one(basis, op)
+        assert extended.breakdown and not basis.breakdown
+        ts = np.linspace(1.0, 5.0, 9)
+        oracle = oracle_infidelities(basis, op, ts)
+        assert np.abs(estimate_extra_site_exact(extended, ts) / oracle - 1.0).max() <= 1e-12
 
 
 class TestExtraSiteAveraged:
@@ -167,8 +181,6 @@ class TestToeplitzAnalytic:
             vectors=vectors,
             tridiag=tri,
             residual_beta=0.0,
-            breakdown=True,
-            source_dim=3,
             source_norm=1.0,
         )
         for t in (0.5, 8.0, 100.0):
@@ -196,8 +208,6 @@ class TestParkLight:
             vectors=np.ones((1, 1), dtype=np.complex128),
             tridiag=tri,
             residual_beta=0.0,
-            breakdown=True,
-            source_dim=1,
             source_norm=1.0,
         )
         for t in (0.0, 2.0, 50.0):
@@ -217,8 +227,6 @@ class TestAveragedCoefficients:
             vectors=np.eye(2, dtype=np.complex128),
             tridiag=SymmetricTridiagonal([1.0, 3.0], [2.0]),
             residual_beta=0.0,
-            breakdown=True,
-            source_dim=2,
             source_norm=1.0,
         )
         assert averaged_coefficients(basis) == (2.0, 2.0)

@@ -1,11 +1,12 @@
 """Lanczos recurrence: orthonormality, reduction, breakdown, extension."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from krylov_echo.lanczos import _reorthogonalize, extend_one, lanczos_iterate
+from krylov_echo.lanczos import KrylovBasis, _reorthogonalize, extend_one, lanczos_iterate
 from krylov_echo.linalg import DenseOperator, LinearOperator, basis_state, exact_evolve_dense
 from krylov_echo.models import IsingParams, goe_sample, ising_operator, random_state
 from krylov_echo.propagator import krylov_evolve, true_infidelity
@@ -150,6 +151,32 @@ class TestBasisInvariants:
         for t in (1.0, 5.0):
             exact = exact_evolve_dense(ham, psi, t)
             assert true_infidelity(krylov_evolve(basis, t), exact) <= 1e-10
+
+
+class TestRecord:
+    """The buffer carries the next Lanczos vector; everything else is derived."""
+
+    def test_next_vector_continues_the_recurrence(self):
+        ham = goe_sample(96, 2)
+        basis = lanczos_iterate(ham, random_state(96, 12), 20)
+        assert not basis.breakdown
+        n, d, e = basis.size, basis.tridiag.diag, basis.tridiag.offdiag
+        residual = basis.buffer[n] * basis.residual_beta
+        v = basis.vectors
+        expected = ham.apply(v[n - 1]) - d[n - 1] * v[n - 1] - e[n - 2] * v[n - 2]
+        assert np.linalg.norm(residual - expected) <= 1e-10 * np.linalg.norm(expected)
+        assert np.abs(v.conj() @ basis.buffer[n]).max() <= 1e-10
+
+    def test_breakdown_is_a_vanished_coupling(self):
+        op = DenseOperator(np.diag([1.0, 2.0, 3.0]))
+        for psi, broken in ((basis_state(3), True), (random_state(3, 1), False)):
+            basis = lanczos_iterate(op, psi, 2)
+            assert basis.breakdown is broken
+            assert basis.breakdown == (basis.residual_beta == 0.0)
+
+    def test_stored_fields(self):
+        names = [f.name for f in dataclasses.fields(KrylovBasis)]
+        assert names == ["vectors", "tridiag", "residual_beta", "source_norm", "buffer"]
 
 
 class TestReorthogonalize:

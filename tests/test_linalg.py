@@ -150,6 +150,7 @@ class TestDenseOracle:
 
     def test_real_matrix_stored_as_complex_gets_real_eigenvectors(self):
         op = DenseOperator(np.array([[1.0, 2.0], [2.0, -1.0]], dtype=np.complex128))
+        assert op.matrix.dtype == np.float64
         assert op.dense_eigh()[1].dtype == np.float64
 
     def test_matrix_free_real_operator_builds_real_dense_form(self):
