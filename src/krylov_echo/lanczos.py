@@ -182,6 +182,10 @@ def extend_one(basis: KrylovBasis, hamiltonian: LinearOperator) -> KrylovBasis:
         )
     if basis.size >= basis.source_dim:
         raise ValueError("basis already spans the full space")
+    if basis.buffer is None:
+        raise ValueError(
+            "cannot extend: the basis holds no next vector (it was built without a buffer)"
+        )
     if hamiltonian.dim != basis.source_dim:
         raise ValueError(
             f"operator dimension {hamiltonian.dim} does not match basis source_dim {basis.source_dim}"

@@ -207,7 +207,8 @@ class LinearOperator:
     Hermitian; shared state is read-only after construction, so concurrent
     applies on distinct vectors are safe. The caller owns what ``apply``
     returns: the Lanczos step overwrites it. ``to_dense``/``dense_eigh`` exist
-    for verification at modest dimensions; only ``dense_eigh`` memoizes. A
+    for verification at modest dimensions; only ``dense_eigh`` memoizes, and
+    a subclass changes how it solves through the ``_eigh`` hook. A
     real operator stays real there: its dense form is float64 and so are
     its eigenvectors.
     """
@@ -227,15 +228,19 @@ class LinearOperator:
         return dense if dense.imag.any() else dense.real.copy()
 
     def dense_eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        """Cached eigenvalues and eigenvectors (columns) of the dense form.
+        """Cached ascending eigenvalues and orthonormal eigenvectors (columns) of the dense form.
 
-        An all-real dense form gets one real ``eigh`` and float64
-        eigenvectors; only a matrix with a nonzero imaginary part gets
-        complex128 ones.
+        The one memoized entry point: it computes :meth:`_eigh` once. An
+        all-real dense form gets float64 eigenvectors; only a matrix with a
+        nonzero imaginary part gets complex128 ones.
         """
         if self._dense_eigh is None:
-            self._dense_eigh = tuple(np.linalg.eigh(self.to_dense()))
+            self._dense_eigh = self._eigh()
         return self._dense_eigh
+
+    def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """Uncached eigendecomposition of the dense form: the hook a subclass overrides."""
+        return tuple(np.linalg.eigh(self.to_dense()))
 
 
 class DenseOperator(LinearOperator):

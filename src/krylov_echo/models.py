@@ -72,7 +72,9 @@ class IsingOperator(LinearOperator):
     groups of up to three adjacent sites: within a group at bits lo..lo+b-1
     the flips sum to one 2^b x 2^b 0/1 matrix, applied as a single real
     matmul on the float64 view of the vector (real and imaginary parts
-    alike), so one apply costs O(n 2^n) in about n/3 BLAS passes.
+    alike), so one apply costs O(n 2^n) in about n/3 BLAS passes. The chain
+    is unchanged, bit for bit, when its spin order is reversed, so the dense
+    oracle is solved one reflection sector at a time (:meth:`_eigh`).
     """
 
     def __init__(self, params: IsingParams):
@@ -80,20 +82,17 @@ class IsingOperator(LinearOperator):
             raise ValueError(f"n_spins {params.n_spins} exceeds cap {MAX_ISING_SPINS}")
         super().__init__(params.dim)
         self.params = params
-        idx = np.arange(self.dim)
-        diag = np.zeros(self.dim)
-        z_prev = None
-        for k in range(params.n_spins):
-            z_k = 1.0 - 2.0 * ((idx >> k) & 1)
-            diag += params.h_z * z_k
-            if z_prev is not None:
-                diag -= params.J * z_prev * z_k
-            z_prev = z_k
-        self._diag = diag
+        # h_z sum_k z_k - J sum_k z_k z_{k+1} = h_z (n - 2 d) - J (n - 1 - 2 w)
+        # for d down spins and w domain walls. Both counts are exact and
+        # survive reversing the chain, so the diagonal does too, bit for bit;
+        # a float sum over sites does not, in its last bits.
+        n, idx = params.n_spins, np.arange(self.dim)
+        walls = np.bitwise_count((idx ^ (idx >> 1)) & ((1 << (n - 1)) - 1))
+        bonds = (n - 1) - 2.0 * walls
+        self._diag = params.h_z * (n - 2.0 * np.bitwise_count(idx)) - params.J * bonds
         # The lowest group right-multiplies rows of (re, im) pairs, hence the
         # kron with I2; a group at bit lo left-multiplies the view reshaped to
         # (-1, 2^b, 2 * 2^lo).
-        n = params.n_spins
         sizes = [(lo, min(_GROUP, n - lo)) for lo in range(0, n, _GROUP)]
         b = sizes[0][1]
         self._low_group = (2 << b, np.kron(_flip_sum(b), np.eye(2)))
@@ -125,6 +124,54 @@ class IsingOperator(LinearOperator):
         for k in range(self.params.n_spins):
             dense[idx, idx ^ (1 << k)] += self.params.h_x
         return dense
+
+    def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigendecomposition one reflection sector at a time: two real ``eigh`` of about D/2.
+
+        Reversing the spin order (the bit reversal ``rev``) leaves H
+        unchanged, so H splits over the palindromes ``m`` and the pairs
+        ``l < rev(l)``: the even sector, on ``|m>`` and ``(|l> + |rev l>)/√2``,
+        has size ``(D + 2^ceil(n/2))/2``; the odd one, on ``(|l> - |rev l>)/√2``,
+        the rest. The dense form is freed before the first solve, and each
+        sector's eigenvectors are written into their sorted columns of one
+        D x D float64 array.
+        """
+        idx = np.arange(self.dim)
+        rev = np.zeros_like(idx)
+        for k in range(self.params.n_spins):
+            rev |= ((idx >> k) & 1) << (self.params.n_spins - 1 - k)
+        mid, low = np.flatnonzero(idx == rev), np.flatnonzero(idx < rev)
+        high, split = rev[low], mid.size
+        dense = self.to_dense()
+        odd, cross = dense[np.ix_(low, low)], dense[np.ix_(low, high)]
+        even = np.empty((split + low.size,) * 2)
+        even[:split, :split] = dense[np.ix_(mid, mid)]
+        even[:split, split:] = np.sqrt(2.0) * dense[np.ix_(mid, low)]
+        del dense
+        even[split:, :split] = even[:split, split:].T
+        np.add(odd, cross, out=even[split:, split:])
+        odd -= cross
+        del cross
+        even_vals, even_vecs = np.linalg.eigh(even)
+        del even
+        odd_vals, odd_vecs = np.linalg.eigh(odd)
+        del odd
+        evals = np.concatenate([even_vals, odd_vals])
+        order = np.argsort(evals, kind="stable")
+        column = np.empty_like(order)
+        column[order] = idx
+        even_cols, odd_cols = column[: even_vals.size], column[even_vals.size :]
+        evecs = np.zeros((self.dim, self.dim))
+        evecs[np.ix_(mid, even_cols)] = even_vecs[:split]
+        pairs = even_vecs[split:]
+        pairs *= np.sqrt(0.5)
+        evecs[np.ix_(low, even_cols)] = pairs
+        evecs[np.ix_(high, even_cols)] = pairs
+        odd_vecs *= np.sqrt(0.5)
+        evecs[np.ix_(low, odd_cols)] = odd_vecs
+        odd_vecs *= -1.0
+        evecs[np.ix_(high, odd_cols)] = odd_vecs
+        return evals[order], evecs
 
 
 def ising_operator(params: IsingParams) -> LinearOperator:

@@ -585,29 +585,36 @@ class TestMainEntry:
         assert abs(np.linalg.norm(psi) - 1.0) <= 1e-14
 
     @pytest.mark.parametrize(
-        "args",
+        "args, sizes",
         [
-            "regimes --model ising --n 6 --krylov-n 10 --t-max 4 --points 300",
-            "bounds --model goe --n 64 --krylov-n 10 --t-max 2 --points 200 --band",
-            "evolve --model ising --n 6 --krylov-n 10 --t-final 5",
+            ("regimes --model ising --n 6 --krylov-n 10 --t-max 4 --points 300", [36, 28]),
+            ("bounds --model goe --n 64 --krylov-n 10 --t-max 2 --points 200 --band", [64]),
+            ("evolve --model ising --n 6 --krylov-n 10 --t-final 5", [36, 28]),
             # Three oracle blocks of times at this dimension.
-            "snapshots --model ising --n 8 --krylov-n 10 --profile-m 20 --times "
-            + ",".join(f"{0.01 * k:g}" for k in range(600)),
+            (
+                "snapshots --model ising --n 8 --krylov-n 10 --profile-m 20 --times "
+                + ",".join(f"{0.01 * k:g}" for k in range(600)),
+                [136, 120],
+            ),
         ],
         ids=["regimes", "bounds", "evolve", "snapshots"],
     )
-    def test_one_dense_eigensolve_per_run(self, tmp_path, monkeypatch, args):
+    def test_one_dense_eigensolve_per_run(self, tmp_path, monkeypatch, args, sizes):
+        # One decomposition of the whole space per run, in real arithmetic:
+        # a GOE matrix in one piece, the Ising chain as its two reflection
+        # sectors, whose sizes sum to its dimension (64 = 36 + 28 at n=6,
+        # 256 = 136 + 120 at n=8).
         calls = []
         eigh = np.linalg.eigh
 
         def counting_eigh(matrix, *rest, **kwargs):
-            calls.append(matrix.dtype)
+            calls.append((matrix.dtype, matrix.shape))
             return eigh(matrix, *rest, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         out = tmp_path / "run.csv"
         assert main(f"{args} --out {out}".split()) == 0
-        assert calls == [np.float64]
+        assert calls == [(np.float64, (size, size)) for size in sizes]
 
     def test_measure_regime_times_shapes(self):
         ts = np.linspace(0, 1, 11)

@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 from krylov_echo.lanczos import KrylovBasis, _reorthogonalize, extend_one, lanczos_iterate
-from krylov_echo.linalg import DenseOperator, LinearOperator, basis_state, exact_evolve_dense
+from krylov_echo.linalg import (
+    DenseOperator,
+    LinearOperator,
+    SymmetricTridiagonal,
+    basis_state,
+    exact_evolve_dense,
+)
 from krylov_echo.models import IsingParams, goe_sample, ising_operator, random_state
 from krylov_echo.propagator import krylov_evolve, true_infidelity
 
@@ -241,6 +247,14 @@ class TestExtendOne:
         op = DenseOperator(np.array([[0.0, 1.0], [1.0, 2.0]]))
         basis = lanczos_iterate(op, random_state(2, 1), 2)
         with pytest.raises(ValueError):
+            extend_one(basis, op)
+
+    def test_basis_without_next_vector_rejected(self):
+        op = DenseOperator(np.diag([1.0, 2.0, 3.0]))
+        vectors = np.eye(3, dtype=np.complex128)[:2]
+        basis = KrylovBasis(vectors, SymmetricTridiagonal([1.0, 2.0], [0.5]), 0.5, 1.0)
+        assert basis.buffer is None and not basis.breakdown
+        with pytest.raises(ValueError, match="no next vector"):
             extend_one(basis, op)
 
 

@@ -89,6 +89,40 @@ class TestIsingOperator:
         # site, with its scaled term, measured 3.01.
         assert peak <= 2.5 * ham.dim * 16
 
+    @pytest.mark.parametrize("n", range(2, 10))
+    @pytest.mark.parametrize(
+        "fields",
+        [(1.0, 1.0, 0.5), (0.8, 1.1, 0.3), (1.0, 1.0, 0.0), (0.0, -0.7, 0.3)],
+        ids=["defaults", "generic", "h_z=0", "J=0"],
+    )
+    def test_sector_eigensolve(self, n, fields):
+        # Odd and even n: every count 2^ceil(n/2) of palindromes.
+        ham = ising_operator(IsingParams(n, *fields))
+        dense = ham.to_dense()
+        idx = np.arange(ham.dim)
+        rev = sum(((idx >> k) & 1) << (n - 1 - k) for k in range(n))
+        assert np.array_equal(dense[np.ix_(rev, rev)], dense)
+        evals, evecs = ham.dense_eigh()
+        assert evals.dtype == evecs.dtype == np.float64
+        assert np.all(np.diff(evals) >= 0.0)
+        scale = np.linalg.norm(dense, 2)
+        assert np.abs(evals - np.linalg.eigvalsh(dense)).max() <= 1e-12 * scale
+        assert np.abs(evecs.T @ evecs - np.eye(ham.dim)).max() <= 1e-13
+        assert np.abs(dense @ evecs - evecs * evals).max() <= 1e-12 * scale
+
+    def test_dense_eigh_peak_memory(self):
+        ham = ising_operator(IsingParams(10))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            ham.dense_eigh()
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        # The dense form and the two sector blocks while they are built
+        # (1.77 measured); one eigh of the whole dense form measured 2.0.
+        assert peak <= 1.9 * ham.dim**2 * 8
+
     def test_hermiticity_probe(self, rng):
         ham = ising_operator(IsingParams(6))
         assert hermiticity_defect(ham, rng) <= 1e-12
