@@ -47,6 +47,6 @@ from .stepper import (
     evolve_adaptive,
     max_step_for_tolerance,
 )
-from .toeplitz import rescaling_check, toeplitz_echo
+from .toeplitz import toeplitz_echo
 
 __version__ = "0.1.0"

@@ -3,17 +3,20 @@
 Subcommands: ``regimes`` (echo/error time regimes against the dense oracle),
 ``snapshots`` (chain wave-packet profiles), ``bounds`` (estimators vs the
 true error), ``toeplitz`` (closed-form vs numeric echo), ``evolve``
-(adaptive time stepping). Configuration comes from an optional flat
-``key=value`` file plus command-line overrides; every output embeds a
-config echo in ``#`` comment lines so it is self-describing.
+(adaptive time stepping). Each option is declared once, as a field of
+``ExperimentConfig``, and the parser is built from those fields. Values come
+from an optional flat ``key=value`` file plus command-line overrides, and
+``_coerce`` parses every one of them; every output embeds a config echo in
+``#`` comment lines so it is self-describing.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import typing
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -44,11 +47,6 @@ from .toeplitz import toeplitz_echo
 __all__ = [
     "ExperimentConfig",
     "build_model",
-    "cmd_bounds",
-    "cmd_evolve",
-    "cmd_regimes",
-    "cmd_snapshots",
-    "cmd_toeplitz",
     "load_config_file",
     "main",
     "measure_regime_times",
@@ -66,33 +64,44 @@ PLATEAU_LEVEL = 1e-10
 SUSTAIN_POINTS = 3
 
 
+def _option(default, help=None, **meta):
+    """A field declaring its option: help, flag, the one command taking it, argparse keywords."""
+    return field(default=default, metadata={"help": help, **meta})
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Flat experiment description shared by all subcommands."""
 
     command: str = "regimes"
-    model: str = "ising"
-    n: int = 10
-    J: float = 1.0
-    h_x: float = 1.0
-    h_z: float = 0.5
-    alpha: float = 0.0
-    beta: float = 1.0
-    krylov_n: int = 30
-    n_prime: int = 0
-    t_min: float = 0.0
-    t_max: float = 60.0
-    points: int = 200
-    times: tuple[float, ...] = ()
-    seed: int = 1
-    estimators: tuple[str, ...] = ("extra_site_exact", "extra_site_averaged")
-    band: bool = False
-    profile_m: int = 0
-    tol: float = 1e-8
-    t_final: float = 100.0
-    oracle_cap: int = DEFAULT_ORACLE_CAP
-    out: str = "out.csv"
-    state_out: str = ""
+    model: str = _option("ising", help=f"one of {', '.join(MODELS)}")
+    n: int = _option(10, help="spins (ising), dimension (goe/gue), sites (toeplitz)")
+    J: float = _option(1.0, help="Ising coupling J", flag="--j")
+    h_x: float = _option(1.0, help="transverse field", flag="--hx")
+    h_z: float = _option(0.5, help="parallel field", flag="--hz")
+    alpha: float = _option(0.0, help="homogeneous onsite energy")
+    beta: float = _option(1.0, help="homogeneous hopping")
+    krylov_n: int = _option(30, help="Krylov basis size")
+    n_prime: int = _option(0, help="second chain size (default n+1)", command="toeplitz")
+    t_min: float = _option(0.0)
+    t_max: float = _option(60.0)
+    points: int = _option(200, help="grid points")
+    times: tuple[float, ...] = _option((), help="comma-separated snapshot times", command="snapshots")
+    seed: int = _option(1)
+    estimators: tuple[str, ...] = _option(
+        ("extra_site_exact", "extra_site_averaged"), help="estimator kind (repeatable)",
+        flag="--estimator", action="append", choices=ESTIMATOR_NAMES,
+    )
+    band: bool = _option(
+        False, help="add min/max coefficient envelope", command="bounds",
+        action="store_const", const="true",
+    )
+    profile_m: int = _option(0, help="profile basis length (>= krylov size)", command="snapshots")
+    tol: float = _option(1e-8, help="total infidelity budget", command="evolve")
+    t_final: float = _option(100.0, command="evolve")
+    oracle_cap: int = _option(DEFAULT_ORACLE_CAP)
+    out: str = _option("out.csv", help="output CSV path")
+    state_out: str = _option("", help="final state path (KRYV1)", command="evolve")
 
     def validate(self) -> None:
         if self.model not in MODELS:
@@ -110,6 +119,11 @@ class ExperimentConfig:
                 )
 
 
+# Looked up once: resolving the annotations per value costs more than the parse.
+_KINDS = typing.get_type_hints(ExperimentConfig)
+_OPTIONS = tuple(f for f in fields(ExperimentConfig) if f.name != "command")
+
+
 def _coerce(key: str, raw: str):
     """Parse a raw string into the type ``ExperimentConfig`` declares for ``key``.
 
@@ -118,7 +132,7 @@ def _coerce(key: str, raw: str):
     case-insensitively. Any other value raises a ``ValueError`` naming
     ``key`` and ``raw``.
     """
-    kind = typing.get_type_hints(ExperimentConfig)[key]
+    kind = _KINDS[key]
     if kind is bool:
         word = raw.strip().lower()
         if word not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
@@ -136,7 +150,7 @@ def _coerce(key: str, raw: str):
 
 def load_config_file(path) -> dict:
     """Parse a flat ``key=value`` file; ``#`` comments and blank lines ignored."""
-    known = {f.name for f in fields(ExperimentConfig)}
+    known = {f.name for f in _OPTIONS}
     values = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -146,13 +160,17 @@ def load_config_file(path) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, raw = (tok.strip() for tok in line.split("=", 1))
-            if key not in known or key == "command":
+            if key not in known:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
             try:
                 values[key] = _coerce(key, raw)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
     return values
+
+
+def _homogeneous(n: int, cfg: ExperimentConfig) -> SymmetricTridiagonal:
+    return SymmetricTridiagonal(np.full(n, cfg.alpha), np.full(n - 1, cfg.beta))
 
 
 def build_model(cfg: ExperimentConfig, oracle: bool = False) -> tuple[LinearOperator, np.ndarray]:
@@ -164,37 +182,27 @@ def build_model(cfg: ExperimentConfig, oracle: bool = False) -> tuple[LinearOper
     With ``oracle``, a dimension above ``cfg.oracle_cap`` is refused before
     any dense matrix is drawn or filled.
     """
-
-    def dim(value: int) -> int:
-        if oracle and value > cfg.oracle_cap:
-            raise ValueError(
-                f"this experiment needs the dense oracle, but dimension {value} exceeds "
-                f"oracle_cap {cfg.oracle_cap}"
-            )
-        return value
-
-    if cfg.model == "ising":
-        params = IsingParams(cfg.n, J=cfg.J, h_x=cfg.h_x, h_z=cfg.h_z)
-        dim(params.dim)
-        op = ising_operator(params)
-        return op, random_state(op.dim, cfg.seed)
-    if cfg.model == "goe":
-        return goe_sample(dim(cfg.n), cfg.seed), random_state(cfg.n, cfg.seed + STATE_SEED_OFFSET)
-    if cfg.model == "gue":
-        return gue_sample(dim(cfg.n), cfg.seed), random_state(cfg.n, cfg.seed + STATE_SEED_OFFSET)
-    if cfg.model == "toeplitz":
-        tri = SymmetricTridiagonal(
-            np.full(dim(cfg.n), cfg.alpha), np.full(cfg.n - 1, cfg.beta)
+    params = IsingParams(cfg.n, J=cfg.J, h_x=cfg.h_x, h_z=cfg.h_z) if cfg.model == "ising" else None
+    dim = cfg.n if params is None else params.dim
+    if oracle and dim > cfg.oracle_cap:
+        raise ValueError(
+            f"this experiment needs the dense oracle, but dimension {dim} exceeds "
+            f"oracle_cap {cfg.oracle_cap}"
         )
-        return DenseOperator(tri.to_dense()), basis_state(cfg.n)
+    if cfg.model == "ising":
+        return ising_operator(params), random_state(dim, cfg.seed)
+    if cfg.model == "goe":
+        return goe_sample(dim, cfg.seed), random_state(dim, cfg.seed + STATE_SEED_OFFSET)
+    if cfg.model == "gue":
+        return gue_sample(dim, cfg.seed), random_state(dim, cfg.seed + STATE_SEED_OFFSET)
+    if cfg.model == "toeplitz":
+        return DenseOperator(_homogeneous(dim, cfg).to_dense()), basis_state(dim)
     raise ValueError(f"unknown model {cfg.model!r}")
 
 
 def _fmt(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value)).lower()
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
@@ -335,11 +343,9 @@ def cmd_bounds(cfg: ExperimentConfig) -> None:
 def cmd_toeplitz(cfg: ExperimentConfig) -> None:
     """Closed-form vs numerically propagated homogeneous-chain echo."""
     cfg = replace(cfg, n_prime=cfg.n_prime or cfg.n + 1)
-    tri_a = SymmetricTridiagonal(np.full(cfg.n, cfg.alpha), np.full(cfg.n - 1, cfg.beta))
-    tri_b = SymmetricTridiagonal(np.full(cfg.n_prime, cfg.alpha), np.full(cfg.n_prime - 1, cfg.beta))
     ts = _grid(cfg)
     analytic = np.abs(toeplitz_echo(cfg.n, cfg.n_prime, cfg.alpha, cfg.beta, ts)) ** 2
-    numeric = np.abs(echo_general(tri_a, tri_b, ts)) ** 2
+    numeric = np.abs(echo_general(_homogeneous(cfg.n, cfg), _homogeneous(cfg.n_prime, cfg), ts)) ** 2
     rows = zip(ts, analytic, numeric, np.abs(analytic - numeric))
     comments = _config_comments(cfg, ("n", "n_prime", "alpha", "beta", "t_min", "t_max", "points"))
     _write_csv(cfg.out, comments, ["t", "echo2_analytic", "echo2_numeric", "abs_diff"], rows)
@@ -349,9 +355,7 @@ def cmd_evolve(cfg: ExperimentConfig) -> None:
     """Adaptive evolution: step log CSV plus the final state as a KRYV1 file."""
     hamiltonian, psi = build_model(cfg)
     kind = cfg.estimators[0] if cfg.estimators else "extra_site_exact"
-    report = evolve_adaptive(
-        hamiltonian, psi, cfg.t_final, cfg.tol, min(cfg.krylov_n, hamiltonian.dim), kind=kind
-    )
+    report = evolve_adaptive(hamiltonian, psi, cfg.t_final, cfg.tol, cfg.krylov_n, kind=kind)
     state_path = cfg.state_out or f"{cfg.out}.kryv"
     write_state(state_path, report.final_state)
     comments = _config_comments(
@@ -379,65 +383,35 @@ COMMANDS = {
 }
 
 
+# Built once: each build leaves ~0.1 MB of argparse reference cycles for the collector.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="flat key=value config file")
-    common.add_argument("--out", help="output CSV path")
-    common.add_argument("--model", choices=MODELS)
-    common.add_argument("--n", type=int, help="spins (ising), dimension (goe/gue), sites (toeplitz)")
-    common.add_argument("--j", dest="J", type=float, help="Ising coupling J")
-    common.add_argument("--hx", dest="h_x", type=float, help="transverse field")
-    common.add_argument("--hz", dest="h_z", type=float, help="parallel field")
-    common.add_argument("--alpha", type=float, help="homogeneous onsite energy")
-    common.add_argument("--beta", type=float, help="homogeneous hopping")
-    common.add_argument("--krylov-n", dest="krylov_n", type=int, help="Krylov basis size")
-    common.add_argument("--t-min", dest="t_min", type=float)
-    common.add_argument("--t-max", dest="t_max", type=float)
-    common.add_argument("--points", type=int, help="grid points")
-    common.add_argument("--seed", type=int)
-    common.add_argument(
-        "--estimator",
-        dest="estimators",
-        action="append",
-        choices=list(ESTIMATOR_NAMES),
-        help="estimator kind (repeatable)",
-    )
-    common.add_argument("--oracle-cap", dest="oracle_cap", type=int)
-
     parser = argparse.ArgumentParser(
         prog="krylov-echo",
         description="Krylov-subspace evolution with echo-based error certification",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("regimes", parents=[common], help="echo/error time regimes vs the dense oracle")
-    snap = sub.add_parser("snapshots", parents=[common], help="chain wave-packet profiles")
-    snap.add_argument("--times", help="comma-separated snapshot times")
-    snap.add_argument("--profile-m", dest="profile_m", type=int, help="profile basis length (>= krylov size)")
-    bounds = sub.add_parser("bounds", parents=[common], help="estimators vs oracle error")
-    bounds.add_argument("--band", action="store_true", default=None, help="add min/max coefficient envelope")
-    toep = sub.add_parser("toeplitz", parents=[common], help="analytic vs numeric homogeneous echo")
-    toep.add_argument("--n-prime", dest="n_prime", type=int, help="second chain size (default n+1)")
-    evolve = sub.add_parser("evolve", parents=[common], help="adaptive time stepping")
-    evolve.add_argument("--tol", type=float, help="total infidelity budget")
-    evolve.add_argument("--t-final", dest="t_final", type=float)
-    evolve.add_argument("--state-out", dest="state_out", help="final state path (KRYV1)")
+    for name, command in COMMANDS.items():
+        sub_parser = sub.add_parser(name, help=command.__doc__)
+        sub_parser.add_argument("--config", help="flat key=value config file")
+        for f in _OPTIONS:
+            meta = dict(f.metadata)
+            flag = meta.pop("flag", "--" + f.name.replace("_", "-"))
+            if meta.pop("command", name) == name:
+                sub_parser.add_argument(flag, dest=f.name, **meta)
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    """Merge defaults, config file, and command-line overrides (in that order)."""
+    """Merge defaults, config file and flags (in that order), each value parsed by ``_coerce``."""
     cfg = ExperimentConfig(command=args.command)
-    if getattr(args, "config", None):
+    if args.config:
         cfg = replace(cfg, **load_config_file(args.config))
     overrides = {}
-    for f in fields(ExperimentConfig):
-        value = getattr(args, f.name, None)
-        if isinstance(value, str):
-            value = _coerce(f.name, value)
-        elif isinstance(value, list):
-            value = tuple(value)
-        if value is not None:
-            overrides[f.name] = value
+    for f in _OPTIONS:
+        raw = getattr(args, f.name, None)
+        if raw is not None:
+            overrides[f.name] = _coerce(f.name, raw if isinstance(raw, str) else ",".join(raw))
     cfg = replace(cfg, **overrides)
     cfg.validate()
     return cfg

@@ -16,7 +16,7 @@ import numpy as np
 
 from .linalg import TridiagonalEigen, _over_chains, _overlaps
 
-__all__ = ["rescaling_check", "toeplitz_echo"]
+__all__ = ["toeplitz_echo"]
 
 
 @lru_cache(maxsize=64)
@@ -44,15 +44,3 @@ def toeplitz_echo(n_sites: int, n_prime: int, alpha: float, beta: float, t):
     chains = (_toeplitz_eigen(n_sites, alpha, beta), _toeplitz_eigen(n_prime, alpha, beta))
     return _over_chains(_overlaps, t, *chains)
 
-
-def rescaling_check(
-    n_sites: int, n_prime: int, alpha: float, beta: float, t: float
-) -> tuple[float, float]:
-    """Moduli of the direct echo and its rescaled reference form.
-
-    Returns ``(|echo(t; alpha, beta)|, |echo(beta*t; 0, 1)|)``; the two agree
-    because onsite phases cancel in the echo and hopping only rescales time.
-    """
-    direct = abs(toeplitz_echo(n_sites, n_prime, alpha, beta, t))
-    rescaled = abs(toeplitz_echo(n_sites, n_prime, 0.0, 1.0, beta * t))
-    return direct, rescaled

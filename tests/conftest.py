@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from krylov_echo.models import IsingParams
+from krylov_echo.toeplitz import toeplitz_echo
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
@@ -43,6 +44,19 @@ def chain_transition(n_sites: int, n: int, n_prime: int, t: float) -> complex:
     theta = np.arange(1, n_sites + 1) * np.pi / (n_sites + 1)
     terms = np.sin(n * theta) * np.sin(n_prime * theta) * np.exp(2j * t * np.cos(theta))
     return 2.0 / (n_sites + 1) * terms.sum()
+
+
+def rescaling_check(
+    n_sites: int, n_prime: int, alpha: float, beta: float, t: float
+) -> tuple[float, float]:
+    """Moduli of the direct echo and its rescaled reference form.
+
+    Returns ``(|echo(t; alpha, beta)|, |echo(beta*t; 0, 1)|)``; the two agree
+    because onsite phases cancel in the echo and hopping only rescales time.
+    """
+    direct = abs(toeplitz_echo(n_sites, n_prime, alpha, beta, t))
+    rescaled = abs(toeplitz_echo(n_sites, n_prime, 0.0, 1.0, beta * t))
+    return direct, rescaled
 
 
 def hermiticity_defect(op, rng: np.random.Generator, probes: int = 4) -> float:

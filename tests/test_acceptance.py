@@ -20,10 +20,12 @@ from krylov_echo.linalg import exact_evolve_dense
 from krylov_echo.models import IsingParams, goe_sample, ising_operator, random_state
 from krylov_echo.propagator import krylov_evolve, true_infidelity
 from krylov_echo.stepper import evolve_adaptive
-from krylov_echo.toeplitz import rescaling_check, toeplitz_echo
+from krylov_echo.toeplitz import toeplitz_echo
 from krylov_echo.linalg import SymmetricTridiagonal
 
 from krylov_echo.cli import measure_regime_times
+
+from conftest import rescaling_check
 
 WINDOW_LOW, WINDOW_HIGH = 1e-12, 1e-3
 

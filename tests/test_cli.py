@@ -1,5 +1,7 @@
 """CLI harness: config handling, CSV outputs, state files, exit codes."""
 
+import argparse
+
 import numpy as np
 import pytest
 
@@ -87,9 +89,25 @@ class TestConfigHandling:
         assert main(["regimes", "--config", str(cfg_file)]) == 1
         assert f"{cfg_file}:2: n='abc'" in capsys.readouterr().err
 
-    def test_malformed_number_on_command_line_names_key(self, capsys):
-        assert main(["snapshots", "--times", "1,abc"]) == 1
-        assert "times='1,abc'" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "args, named",
+        [
+            ("snapshots --times 1,abc", "times='1,abc'"),
+            ("regimes --n abc", "n='abc'"),
+            ("evolve --tol x", "tol='x'"),
+            ("bounds --krylov-n 1.5", "krylov_n='1.5'"),
+        ],
+        ids=["times", "n", "tol", "krylov_n"],
+    )
+    def test_malformed_number_on_command_line_names_key(self, capsys, args, named):
+        # Flag values go through the same parser as file values, so a bad one
+        # exits 1 naming its key rather than 2 with a usage message.
+        assert main(args.split()) == 1
+        assert named in capsys.readouterr().err
+
+    def test_unknown_model_names_it(self, capsys):
+        assert main(["regimes", "--model", "nope"]) == 1
+        assert "unknown model 'nope'" in capsys.readouterr().err
 
     def test_cli_overrides_file(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
@@ -574,10 +592,65 @@ class TestEvolveCommand:
         assert column(header, rows, "estimated_error")[0] == 0.0
 
 
+COMMON_FLAGS = {
+    "--config": "config",
+    "--out": "out",
+    "--model": "model",
+    "--n": "n",
+    "--j": "J",
+    "--hx": "h_x",
+    "--hz": "h_z",
+    "--alpha": "alpha",
+    "--beta": "beta",
+    "--krylov-n": "krylov_n",
+    "--t-min": "t_min",
+    "--t-max": "t_max",
+    "--points": "points",
+    "--seed": "seed",
+    "--estimator": "estimators",
+    "--oracle-cap": "oracle_cap",
+}
+COMMAND_FLAGS = {
+    "regimes": {},
+    "snapshots": {"--times": "times", "--profile-m": "profile_m"},
+    "bounds": {"--band": "band"},
+    "toeplitz": {"--n-prime": "n_prime"},
+    "evolve": {"--tol": "tol", "--t-final": "t_final", "--state-out": "state_out"},
+}
+
+
 class TestMainEntry:
     def test_unknown_estimator_exits_via_argparse(self, tmp_path):
         with pytest.raises(SystemExit):
             main(f"bounds --model ising --n 4 --estimator bogus --out {tmp_path/'x.csv'}".split())
+
+    def test_flags_per_subcommand(self):
+        # The parser is generated from the config fields; this pins the
+        # spelling and destination of every flag each subcommand accepts.
+        (sub,) = [
+            action
+            for action in cli._build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        flags = {
+            name: {
+                option: action.dest
+                for action in parser._actions
+                for option in action.option_strings
+                if option not in ("-h", "--help")
+            }
+            for name, parser in sub.choices.items()
+        }
+        assert flags == {name: {**COMMON_FLAGS, **extra} for name, extra in COMMAND_FLAGS.items()}
+
+    @pytest.mark.parametrize(
+        "args", ["regimes --times 1", "regimes --band", "evolve --n-prime 3", "bounds --tol 1"]
+    )
+    def test_flag_of_another_subcommand_exits_via_argparse(self, capsys, args):
+        with pytest.raises(SystemExit) as exc:
+            main(args.split())
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_build_model_dispatch(self):
         ham, psi = build_model(ExperimentConfig(model="gue", n=24, seed=3))

@@ -5,7 +5,9 @@ import pytest
 
 from krylov_echo.estimators import echo_general
 from krylov_echo.linalg import SymmetricTridiagonal, _end_states, basis_state, eig_sym_tridiagonal
-from krylov_echo.toeplitz import _toeplitz_eigen, rescaling_check, toeplitz_echo
+from krylov_echo.toeplitz import _toeplitz_eigen, toeplitz_echo
+
+from conftest import rescaling_check
 
 
 def homogeneous(n, alpha, beta):
