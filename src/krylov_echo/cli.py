@@ -64,44 +64,60 @@ PLATEAU_LEVEL = 1e-10
 SUSTAIN_POINTS = 3
 
 
+# The subcommands that read a shared option: those that build a model, those
+# that also build a homogeneous chain, and those that sweep a time grid. An
+# option without a list is read by all five.
+_MODEL = ("regimes", "snapshots", "bounds", "evolve")
+_CHAIN = (*_MODEL, "toeplitz")
+_GRID = ("regimes", "bounds", "toeplitz")
+
+
 def _option(default, help=None, **meta):
-    """A field declaring its option: help, flag, the one command taking it, argparse keywords."""
+    """A field declaring its option: help, flag, the commands reading it, argparse keywords."""
     return field(default=default, metadata={"help": help, **meta})
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Flat experiment description shared by all subcommands."""
+    """Flat experiment description shared by all subcommands.
+
+    A config file may set any field; a flag is taken only by the subcommands
+    that read its field (``commands`` in the field metadata, all when absent).
+    """
 
     command: str = "regimes"
-    model: str = _option("ising", help=f"one of {', '.join(MODELS)}")
-    n: int = _option(10, help="spins (ising), dimension (goe/gue), sites (toeplitz)")
-    J: float = _option(1.0, help="Ising coupling J", flag="--j")
-    h_x: float = _option(1.0, help="transverse field", flag="--hx")
-    h_z: float = _option(0.5, help="parallel field", flag="--hz")
-    alpha: float = _option(0.0, help="homogeneous onsite energy")
-    beta: float = _option(1.0, help="homogeneous hopping")
-    krylov_n: int = _option(30, help="Krylov basis size")
-    n_prime: int = _option(0, help="second chain size (default n+1)", command="toeplitz")
-    t_min: float = _option(0.0)
-    t_max: float = _option(60.0)
-    points: int = _option(200, help="grid points")
-    times: tuple[float, ...] = _option((), help="comma-separated snapshot times", command="snapshots")
-    seed: int = _option(1)
+    model: str = _option("ising", help=f"one of {', '.join(MODELS)}", commands=_MODEL)
+    n: int = _option(10, help="spins (ising), dimension (goe/gue), sites (toeplitz)", commands=_CHAIN)
+    J: float = _option(1.0, help="Ising coupling J", flag="--j", commands=_MODEL)
+    h_x: float = _option(1.0, help="transverse field", flag="--hx", commands=_MODEL)
+    h_z: float = _option(0.5, help="parallel field", flag="--hz", commands=_MODEL)
+    alpha: float = _option(0.0, help="homogeneous onsite energy", commands=_CHAIN)
+    beta: float = _option(1.0, help="homogeneous hopping", commands=_CHAIN)
+    krylov_n: int = _option(30, help="Krylov basis size", commands=_MODEL)
+    n_prime: int = _option(0, help="second chain size (default n+1)", commands=("toeplitz",))
+    t_min: float = _option(0.0, commands=_GRID)
+    t_max: float = _option(60.0, commands=_GRID)
+    points: int = _option(200, help="grid points", commands=_GRID)
+    times: tuple[float, ...] = _option(
+        (), help="comma-separated snapshot times", commands=("snapshots",)
+    )
+    seed: int = _option(1, commands=_MODEL)
     estimators: tuple[str, ...] = _option(
         ("extra_site_exact", "extra_site_averaged"), help="estimator kind (repeatable)",
-        flag="--estimator", action="append", choices=ESTIMATOR_NAMES,
+        flag="--estimator", commands=("bounds", "evolve"), action="append", choices=ESTIMATOR_NAMES,
     )
     band: bool = _option(
-        False, help="add min/max coefficient envelope", command="bounds",
+        False, help="add min/max coefficient envelope", commands=("bounds",),
         action="store_const", const="true",
     )
-    profile_m: int = _option(0, help="profile basis length (>= krylov size)", command="snapshots")
-    tol: float = _option(1e-8, help="total infidelity budget", command="evolve")
-    t_final: float = _option(100.0, command="evolve")
-    oracle_cap: int = _option(DEFAULT_ORACLE_CAP)
+    profile_m: int = _option(
+        0, help="profile basis length (>= krylov size)", commands=("snapshots",)
+    )
+    tol: float = _option(1e-8, help="total infidelity budget", commands=("evolve",))
+    t_final: float = _option(100.0, commands=("evolve",))
+    oracle_cap: int = _option(DEFAULT_ORACLE_CAP, commands=_MODEL)
     out: str = _option("out.csv", help="output CSV path")
-    state_out: str = _option("", help="final state path (KRYV1)", command="evolve")
+    state_out: str = _option("", help="final state path (KRYV1)", commands=("evolve",))
 
     def validate(self) -> None:
         if self.model not in MODELS:
@@ -283,13 +299,14 @@ def cmd_snapshots(cfg: ExperimentConfig) -> None:
     if not cfg.times:
         raise ValueError("snapshots needs --times (comma-separated list)")
     hamiltonian, psi = build_model(cfg, oracle=True)
-    profile_m = cfg.profile_m or min(2 * cfg.krylov_n, hamiltonian.dim)
-    if not cfg.krylov_n <= profile_m <= hamiltonian.dim:
+    krylov_n = min(cfg.krylov_n, hamiltonian.dim)
+    profile_m = cfg.profile_m or min(2 * krylov_n, hamiltonian.dim)
+    if not krylov_n <= profile_m <= hamiltonian.dim:
         raise ValueError(
-            f"profile_m {profile_m} must lie in [krylov_n {cfg.krylov_n}, dim {hamiltonian.dim}]"
+            f"profile_m {profile_m} must lie in [krylov_n {krylov_n}, dim {hamiltonian.dim}]"
         )
     basis = lanczos_iterate(hamiltonian, psi, profile_m)
-    reduced = basis.tridiag.prefix(min(cfg.krylov_n, basis.size))
+    reduced = basis.tridiag.prefix(min(krylov_n, basis.size))
     times = np.asarray(cfg.times, dtype=float)
     pop_krylov = np.zeros((times.size, basis.size))
     pop_krylov[:, : reduced.n] = np.abs(_end_states(reduced.eigen(), times)) ** 2
@@ -397,7 +414,7 @@ def _build_parser() -> argparse.ArgumentParser:
         for f in _OPTIONS:
             meta = dict(f.metadata)
             flag = meta.pop("flag", "--" + f.name.replace("_", "-"))
-            if meta.pop("command", name) == name:
+            if name in meta.pop("commands", COMMANDS):
                 sub_parser.add_argument(flag, dest=f.name, **meta)
     return parser
 

@@ -373,6 +373,17 @@ class TestSnapshotsCommand:
         assert rc == 1
         assert "profile_m" in capsys.readouterr().err
 
+    def test_default_krylov_n_clamped_to_dimension(self, tmp_path):
+        # The default krylov_n of 30 exceeds dim 16: it spans the whole space,
+        # as in regimes, bounds and evolve, so both profiles are exact.
+        out = tmp_path / "snap.csv"
+        assert main(f"snapshots --model ising --n 4 --times 1 --out {out}".split()) == 0
+        _, header, rows = read_csv(out)
+        assert column(header, rows, "site", dtype=int).tolist() == list(range(16))
+        exact = column(header, rows, "pop_exact")
+        assert np.abs(column(header, rows, "pop_krylov") - exact).max() <= 1e-12
+        assert exact.sum() == pytest.approx(1.0, abs=1e-12)
+
 
 class TestBoundsCommand:
     def test_homogeneous_estimators_coincide(self, tmp_path):
@@ -592,9 +603,7 @@ class TestEvolveCommand:
         assert column(header, rows, "estimated_error")[0] == 0.0
 
 
-COMMON_FLAGS = {
-    "--config": "config",
-    "--out": "out",
+MODEL_FLAGS = {
     "--model": "model",
     "--n": "n",
     "--j": "J",
@@ -603,19 +612,22 @@ COMMON_FLAGS = {
     "--alpha": "alpha",
     "--beta": "beta",
     "--krylov-n": "krylov_n",
-    "--t-min": "t_min",
-    "--t-max": "t_max",
-    "--points": "points",
     "--seed": "seed",
-    "--estimator": "estimators",
     "--oracle-cap": "oracle_cap",
 }
+GRID_FLAGS = {"--t-min": "t_min", "--t-max": "t_max", "--points": "points"}
+ESTIMATOR_FLAGS = {"--estimator": "estimators"}
 COMMAND_FLAGS = {
-    "regimes": {},
-    "snapshots": {"--times": "times", "--profile-m": "profile_m"},
-    "bounds": {"--band": "band"},
-    "toeplitz": {"--n-prime": "n_prime"},
-    "evolve": {"--tol": "tol", "--t-final": "t_final", "--state-out": "state_out"},
+    "regimes": {**MODEL_FLAGS, **GRID_FLAGS},
+    "snapshots": {**MODEL_FLAGS, "--times": "times", "--profile-m": "profile_m"},
+    "bounds": {**MODEL_FLAGS, **GRID_FLAGS, **ESTIMATOR_FLAGS, "--band": "band"},
+    "toeplitz": {
+        "--n": "n", "--alpha": "alpha", "--beta": "beta", **GRID_FLAGS, "--n-prime": "n_prime"
+    },
+    "evolve": {
+        **MODEL_FLAGS, **ESTIMATOR_FLAGS,
+        "--tol": "tol", "--t-final": "t_final", "--state-out": "state_out",
+    },
 }
 
 
@@ -626,7 +638,8 @@ class TestMainEntry:
 
     def test_flags_per_subcommand(self):
         # The parser is generated from the config fields; this pins the
-        # spelling and destination of every flag each subcommand accepts.
+        # spelling and destination of every flag each subcommand accepts,
+        # which is every option it reads and no other.
         (sub,) = [
             action
             for action in cli._build_parser()._actions
@@ -641,10 +654,24 @@ class TestMainEntry:
             }
             for name, parser in sub.choices.items()
         }
-        assert flags == {name: {**COMMON_FLAGS, **extra} for name, extra in COMMAND_FLAGS.items()}
+        common = {"--config": "config", "--out": "out"}
+        assert flags == {name: {**common, **extra} for name, extra in COMMAND_FLAGS.items()}
 
     @pytest.mark.parametrize(
-        "args", ["regimes --times 1", "regimes --band", "evolve --n-prime 3", "bounds --tol 1"]
+        "args",
+        [
+            "regimes --times 1",
+            "regimes --band",
+            "evolve --n-prime 3",
+            "bounds --tol 1",
+            "toeplitz --model goe",
+            "toeplitz --seed 9",
+            "toeplitz --krylov-n 3",
+            "toeplitz --estimator park_light",
+            "evolve --points 5",
+            "snapshots --t-max 3",
+            "regimes --estimator park_light",
+        ],
     )
     def test_flag_of_another_subcommand_exits_via_argparse(self, capsys, args):
         with pytest.raises(SystemExit) as exc:

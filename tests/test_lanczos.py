@@ -6,7 +6,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from krylov_echo.lanczos import KrylovBasis, _reorthogonalize, extend_one, lanczos_iterate
+from krylov_echo import lanczos
+from krylov_echo.lanczos import (
+    ORTHO_RTOL,
+    KrylovBasis,
+    _reorthogonalize,
+    extend_one,
+    lanczos_iterate,
+)
 from krylov_echo.linalg import (
     DenseOperator,
     LinearOperator,
@@ -216,6 +223,69 @@ class TestReorthogonalize:
         assert peak < 0.1 * dim * 16
         assert np.shares_memory(out, w)
         assert np.abs(vecs.conj() @ out).max() <= 1e-13 * np.linalg.norm(out)
+
+
+def orthonormal_rows(rng, dim, k):
+    raw = rng.standard_normal((dim, k)) + 1j * rng.standard_normal((dim, k))
+    return np.ascontiguousarray(np.linalg.qr(raw)[0].T)
+
+
+def orthogonal_residual(rng, vecs):
+    """A residual whose projections onto ``vecs`` sit at roundoff, far below ORTHO_RTOL."""
+    w = rng.standard_normal(vecs.shape[1]) + 1j * rng.standard_normal(vecs.shape[1])
+    for _ in range(2):
+        w -= vecs.T @ (vecs.conj() @ w)
+    return w
+
+
+class TestProjectionSkip:
+    """A pass that measures every projection within ORTHO_RTOL leaves w untouched."""
+
+    def test_small_projections_leave_w_bit_for_bit(self):
+        rng = np.random.default_rng(6)
+        vecs = orthonormal_rows(rng, 512, 20)
+        w = orthogonal_residual(rng, vecs)
+        assert np.abs(vecs.conj() @ w).max() <= ORTHO_RTOL * np.linalg.norm(w)
+        before = w.copy()
+        out, norm = _reorthogonalize(w, vecs)
+        assert out is w
+        assert np.array_equal(out.view(np.float64), before.view(np.float64))
+        assert norm == np.linalg.norm(before)
+
+    def test_projection_above_threshold_is_removed(self):
+        rng = np.random.default_rng(7)
+        vecs = orthonormal_rows(rng, 512, 20)
+        w = orthogonal_residual(rng, vecs)
+        w += 10 * ORTHO_RTOL * np.linalg.norm(w) * vecs[3]
+        out, norm = _reorthogonalize(w, vecs)
+        assert np.abs(vecs.conj() @ out).max() <= 1e-14 * norm
+        assert norm == np.linalg.norm(out)
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: ising_operator(IsingParams(10)), lambda: goe_sample(1024, 3)],
+        ids=["ising-n10", "goe-d1024"],
+    )
+    def test_both_branches_keep_the_basis_tight(self, make, monkeypatch):
+        # Far tighter than the 1e-10 of criterion 8: each stored vector's
+        # overlap with the earlier ones is at most ORTHO_RTOL as measured.
+        measured, updated = [], []
+        zgemv = lanczos.zgemv
+
+        def counting_zgemv(*args, **kwargs):
+            (measured if kwargs.get("trans") == 2 else updated).append(1)
+            return zgemv(*args, **kwargs)
+
+        monkeypatch.setattr(lanczos, "zgemv", counting_zgemv)
+        ham = make()
+        basis = lanczos_iterate(ham, random_state(ham.dim, 11), 80)
+        assert basis.size == 80
+        assert 0 < len(updated) < len(measured)
+        gram = basis.vectors.conj() @ basis.vectors.T
+        assert np.abs(gram - np.eye(80)).max() <= 1e-13
+        reduced = reduction_matrix(basis, ham)
+        tol = 1e-12 * max(np.abs(basis.tridiag.diag).max(), basis.tridiag.offdiag.max())
+        assert np.abs(reduced - basis.tridiag.to_dense()).max() <= tol
 
 
 class TestExtendOne:
