@@ -280,7 +280,9 @@ def _grid(cfg: ExperimentConfig) -> np.ndarray:
 def cmd_regimes(cfg: ExperimentConfig) -> None:
     """Echo and true error across a time grid, with measured regime times."""
     hamiltonian, psi = build_model(cfg, oracle=True)
-    basis = lanczos_iterate(hamiltonian, psi, min(cfg.krylov_n, hamiltonian.dim))
+    cfg = replace(cfg, krylov_n=min(cfg.krylov_n, hamiltonian.dim))
+    hamiltonian.start_dense_eigh()
+    basis = lanczos_iterate(hamiltonian, psi, cfg.krylov_n)
     ts = _grid(cfg)
     errors = oracle_infidelities(basis, hamiltonian, ts, cap=cfg.oracle_cap)
     echoes = 1.0 - errors
@@ -305,6 +307,8 @@ def cmd_snapshots(cfg: ExperimentConfig) -> None:
         raise ValueError(
             f"profile_m {profile_m} must lie in [krylov_n {krylov_n}, dim {hamiltonian.dim}]"
         )
+    cfg = replace(cfg, krylov_n=krylov_n, profile_m=profile_m)
+    hamiltonian.start_dense_eigh()
     basis = lanczos_iterate(hamiltonian, psi, profile_m)
     reduced = basis.tridiag.prefix(min(krylov_n, basis.size))
     times = np.asarray(cfg.times, dtype=float)
@@ -331,7 +335,9 @@ def cmd_snapshots(cfg: ExperimentConfig) -> None:
 def cmd_bounds(cfg: ExperimentConfig) -> None:
     """Cheap estimators against the oracle error, with per-time ratios."""
     hamiltonian, psi = build_model(cfg, oracle=True)
-    basis = lanczos_iterate(hamiltonian, psi, min(cfg.krylov_n, hamiltonian.dim))
+    cfg = replace(cfg, krylov_n=min(cfg.krylov_n, hamiltonian.dim))
+    hamiltonian.start_dense_eigh()
+    basis = lanczos_iterate(hamiltonian, psi, cfg.krylov_n)
     estimator_fns = {
         name: bind_estimator(name, basis, hamiltonian) for name in cfg.estimators
     }
@@ -372,6 +378,10 @@ def cmd_evolve(cfg: ExperimentConfig) -> None:
     """Adaptive evolution: step log CSV plus the final state as a KRYV1 file."""
     hamiltonian, psi = build_model(cfg)
     kind = cfg.estimators[0] if cfg.estimators else "extra_site_exact"
+    # The worker solves for the oracle while the evolution runs.
+    oracle = hamiltonian.dim <= cfg.oracle_cap
+    if oracle:
+        hamiltonian.start_dense_eigh()
     report = evolve_adaptive(hamiltonian, psi, cfg.t_final, cfg.tol, cfg.krylov_n, kind=kind)
     state_path = cfg.state_out or f"{cfg.out}.kryv"
     write_state(state_path, report.final_state)
@@ -382,7 +392,7 @@ def cmd_evolve(cfg: ExperimentConfig) -> None:
     comments.append(f"state_out={state_path}")
     comments.append(f"total_estimated_error={_fmt(report.total_estimated_error)}")
     comments.append(f"infidelity_bound={_fmt(report.infidelity_bound)}")
-    if hamiltonian.dim <= cfg.oracle_cap:
+    if oracle:
         exact = exact_evolve_dense(hamiltonian, psi, cfg.t_final, cap=cfg.oracle_cap)
         final_infidelity = true_infidelity(report.final_state, exact)
         comments.append(f"true_infidelity={_fmt(final_infidelity)}")

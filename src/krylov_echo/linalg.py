@@ -9,6 +9,8 @@ carry their own cached spectral decomposition, which makes repeated
 
 from __future__ import annotations
 
+import threading
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +31,11 @@ __all__ = [
 DEFAULT_ORACLE_CAP = 4096
 # Size of one block of exact states the oracle forms at once.
 _ORACLE_BLOCK_BYTES = 1 << 20
+# The one worker thread that solves dense eigendecompositions (started on
+# the first submit, not at import), and the lock that makes one submit per
+# operator.
+_SOLVER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="dense-eigh")
+_SUBMIT = threading.Lock()
 
 
 def basis_state(dim: int, index: int = 0) -> np.ndarray:
@@ -208,16 +215,20 @@ class LinearOperator:
     applies on distinct vectors are safe. The caller owns what ``apply``
     returns: the Lanczos step overwrites it. ``to_dense``/``dense_eigh`` exist
     for verification at modest dimensions; only ``dense_eigh`` memoizes, and
-    a subclass changes how it solves through the ``_eigh`` hook. A
-    real operator stays real there: its dense form is float64 and so are
-    its eigenvectors.
+    a subclass changes how it solves through the ``_eigh`` hook. The solve
+    runs on one worker thread: :meth:`start_dense_eigh` submits it without
+    waiting, so a caller can do its own work meanwhile, and
+    :meth:`dense_eigh` waits for it. The worker runs ``_eigh`` alone, which
+    the base class builds from ``apply`` (so it may run beside the caller's
+    applies). A real operator stays real there: its dense form is float64
+    and so are its eigenvectors.
     """
 
     def __init__(self, dim: int):
         if dim < 1:
             raise ValueError("operator dimension must be >= 1")
         self.dim = int(dim)
-        self._dense_eigh: tuple[np.ndarray, np.ndarray] | None = None
+        self._dense_eigh: Future | None = None
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -227,16 +238,27 @@ class LinearOperator:
         dense = np.column_stack([self.apply(basis_state(self.dim, j)) for j in range(self.dim)])
         return dense if dense.imag.any() else dense.real.copy()
 
+    def start_dense_eigh(self) -> Future:
+        """Submit :meth:`_eigh` to the worker thread once, without waiting; the memo's future.
+
+        The worker is not a daemon: a process exits only once a submitted
+        solve is done, even if nothing reads it.
+        """
+        with _SUBMIT:
+            if self._dense_eigh is None:
+                self._dense_eigh = _SOLVER.submit(self._eigh)
+        return self._dense_eigh
+
     def dense_eigh(self) -> tuple[np.ndarray, np.ndarray]:
         """Cached ascending eigenvalues and orthonormal eigenvectors (columns) of the dense form.
 
-        The one memoized entry point: it computes :meth:`_eigh` once. An
-        all-real dense form gets float64 eigenvectors; only a matrix with a
-        nonzero imaginary part gets complex128 ones.
+        The one memoized entry point: it starts :meth:`_eigh` once, if
+        :meth:`start_dense_eigh` has not, then waits for it and re-raises
+        whatever it raised. An all-real dense form gets float64
+        eigenvectors; only a matrix with a nonzero imaginary part gets
+        complex128 ones.
         """
-        if self._dense_eigh is None:
-            self._dense_eigh = self._eigh()
-        return self._dense_eigh
+        return self.start_dense_eigh().result()
 
     def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
         """Uncached eigendecomposition of the dense form: the hook a subclass overrides."""

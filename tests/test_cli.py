@@ -1,11 +1,17 @@
 """CLI harness: config handling, CSV outputs, state files, exit codes."""
 
 import argparse
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from krylov_echo import cli
+import krylov_echo
+from krylov_echo import cli, linalg
 from krylov_echo.cli import (
     ExperimentConfig,
     build_model,
@@ -13,6 +19,8 @@ from krylov_echo.cli import (
     main,
     measure_regime_times,
 )
+from krylov_echo.linalg import LinearOperator
+from krylov_echo.models import IsingOperator
 from krylov_echo.stateio import read_state, write_state
 
 
@@ -105,6 +113,14 @@ class TestConfigHandling:
         assert main(args.split()) == 1
         assert named in capsys.readouterr().err
 
+    def test_unknown_estimator_in_file_names_it(self, tmp_path, capsys):
+        cfg_file = tmp_path / "bad.cfg"
+        cfg_file.write_text("estimators=bogus\n")
+        out = tmp_path / "never.csv"
+        assert main(["bounds", "--config", str(cfg_file), "--out", str(out)]) == 1
+        assert "unknown estimator 'bogus'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_model_names_it(self, capsys):
         assert main(["regimes", "--model", "nope"]) == 1
         assert "unknown model 'nope'" in capsys.readouterr().err
@@ -175,6 +191,12 @@ class TestStateFiles:
         path.write_bytes(b"NOPE!" + b"\x00" * 24)
         with pytest.raises(ValueError, match="magic"):
             read_state(path)
+
+    def test_two_dimensional_state_rejected_before_writing(self, tmp_path):
+        path = tmp_path / "never.kryv"
+        with pytest.raises(ValueError, match="1-D"):
+            write_state(path, np.ones((2, 2), dtype=complex))
+        assert not path.exists()
 
     def test_truncated_rejected(self, tmp_path):
         path = tmp_path / "short.kryv"
@@ -715,6 +737,89 @@ class TestMainEntry:
         out = tmp_path / "run.csv"
         assert main(f"{args} --out {out}".split()) == 0
         assert calls == [(np.float64, (size, size)) for size in sizes]
+
+    @pytest.mark.parametrize(
+        "args, solves",
+        [
+            ("regimes --model ising --n 6 --points 21 --t-max 3", 1),
+            ("bounds --model goe --n 64 --krylov-n 10 --points 5 --t-max 1 --band", 1),
+            ("snapshots --model ising --n 6 --times 0,1,2", 1),
+            ("evolve --model ising --n 6 --t-final 5", 1),
+            ("evolve --model ising --n 6 --t-final 5 --oracle-cap 32", 0),
+        ],
+        ids=["regimes", "bounds", "snapshots", "evolve", "evolve-above-cap"],
+    )
+    def test_oracle_solved_once_on_the_worker(self, tmp_path, monkeypatch, args, solves):
+        threads = []
+        for cls in (IsingOperator, LinearOperator):
+            def recording(self, eigh=cls._eigh):
+                threads.append(threading.current_thread())
+                return eigh(self)
+
+            monkeypatch.setattr(cls, "_eigh", recording)
+        assert main(f"{args} --out {tmp_path / 'run.csv'}".split()) == 0
+        assert len(threads) == solves
+        assert threading.main_thread() not in threads
+
+    @pytest.mark.parametrize(
+        "args, echoed",
+        [
+            ("regimes --model ising --n 4 --points 5 --t-max 1", {"krylov_n": "16"}),
+            ("bounds --model ising --n 4 --points 5 --t-max 1", {"krylov_n": "16"}),
+            ("snapshots --model ising --n 4 --times 1", {"krylov_n": "16", "profile_m": "16"}),
+            ("snapshots --model ising --n 4 --krylov-n 6 --times 1", {"krylov_n": "6", "profile_m": "12"}),
+        ],
+        ids=["regimes", "bounds", "snapshots", "snapshots-default-profile"],
+    )
+    def test_config_echo_names_the_sizes_that_ran(self, tmp_path, args, echoed):
+        # The default krylov_n of 30 exceeds dim 16; the echo states what ran.
+        out = tmp_path / "run.csv"
+        assert main(f"{args} --out {out}".split()) == 0
+        comments, _, _ = read_csv(out)
+        assert {key: comments[key] for key in echoed} == echoed
+
+    # A failure once the oracle solve has started: the estimate exceeds its
+    # budget at the minimum step.
+    UNREACHABLE = "evolve --model ising --n 6 --krylov-n 2 --tol 1e-14 --t-final 5"
+
+    def test_failure_after_the_solve_starts_returns_at_once(self, tmp_path, monkeypatch, capsys):
+        release = threading.Event()
+
+        def blocked(self):
+            if not release.wait(10):
+                raise TimeoutError("never released")
+            return (np.zeros(0), np.zeros((0, 0)))
+
+        monkeypatch.setattr(IsingOperator, "_eigh", blocked)
+        try:
+            assert main(f"{self.UNREACHABLE} --out {tmp_path / 'e.csv'}".split()) == 1
+            assert not release.is_set()
+            assert "minimum step" in capsys.readouterr().err
+        finally:
+            release.set()
+            # The worker is free again once a later submission has run.
+            linalg._SOLVER.submit(int).result(timeout=10)
+
+    def test_failing_process_exits_after_the_solve(self, tmp_path):
+        # The worker is not a daemon: a LAPACK call cut off while the process
+        # unloads its libraries can crash it, so exit waits for the solve.
+        done = tmp_path / "solved"
+        script = (
+            "import sys, time\n"
+            "from krylov_echo import cli, models\n"
+            "def slow(self):\n"
+            "    time.sleep(0.5)\n"
+            f"    open({str(done)!r}, 'w').close()\n"
+            "models.IsingOperator._eigh = slow\n"
+            f"sys.exit(cli.main({self.UNREACHABLE.split()!r} + ['--out', {str(tmp_path / 'e.csv')!r}]))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(krylov_echo.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 1
+        assert "minimum step" in proc.stderr
+        assert done.exists()
 
     def test_measure_regime_times_shapes(self):
         ts = np.linspace(0, 1, 11)

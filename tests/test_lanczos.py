@@ -319,6 +319,11 @@ class TestExtendOne:
         with pytest.raises(ValueError):
             extend_one(basis, op)
 
+    def test_operator_of_another_dimension_rejected(self):
+        basis = lanczos_iterate(goe_sample(16, 1), random_state(16, 2), 4)
+        with pytest.raises(ValueError, match="operator dimension 8 does not match basis source_dim 16"):
+            extend_one(basis, goe_sample(8, 1))
+
     def test_basis_without_next_vector_rejected(self):
         op = DenseOperator(np.diag([1.0, 2.0, 3.0]))
         vectors = np.eye(3, dtype=np.complex128)[:2]

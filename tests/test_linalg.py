@@ -1,5 +1,7 @@
 """Core kernel: tridiagonal spectra, propagators, dense oracle."""
 
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -11,6 +13,7 @@ from krylov_echo.estimators import oracle_infidelities
 from krylov_echo.lanczos import lanczos_iterate
 from krylov_echo.linalg import (
     DenseOperator,
+    LinearOperator,
     SymmetricTridiagonal,
     _end_states,
     basis_state,
@@ -220,6 +223,89 @@ class TestDenseOracle:
         with pytest.raises(ValueError, match="1-D"):
             oracle_infidelities(basis, ham, np.zeros((2, 2)))
         assert ham._dense_eigh is None
+
+
+class MatrixFreeOperator(LinearOperator):
+    """Defines ``apply`` alone, so the base ``to_dense`` builds the dense form from applies.
+
+    The worker's first apply waits for the caller's fifth, and the caller's
+    sixth for the worker's first, so the two threads' applies interleave.
+    """
+
+    def __init__(self, matrix):
+        super().__init__(matrix.shape[0])
+        self.matrix = matrix
+        self.caller_applies = 0
+        self.caller_ready, self.worker_started = threading.Event(), threading.Event()
+
+    def apply(self, vec):
+        if threading.current_thread() is threading.main_thread():
+            self.caller_applies += 1
+            if self.caller_applies == 5:
+                self.caller_ready.set()
+            elif self.caller_applies == 6 and not self.worker_started.wait(10):
+                raise TimeoutError("the worker never applied")
+        else:
+            self.worker_started.set()
+            if not self.caller_ready.wait(10):
+                raise TimeoutError("the caller never applied")
+        return self.matrix @ vec
+
+
+class TestDenseSolveWorker:
+    def test_solve_beside_lanczos_matches_sequential_run(self):
+        # Concurrent applies on distinct vectors are safe: the worker's
+        # to_dense and the caller's Lanczos run give what they give alone.
+        matrix = gue_sample(96, 3).matrix
+        psi = random_state(96, 4)
+        alone = MatrixFreeOperator(matrix)
+        alone.caller_ready.set()
+        alone.worker_started.set()
+        expected = lanczos_iterate(alone, psi, 30)
+        expected_evals, expected_evecs = alone.dense_eigh()
+
+        op = MatrixFreeOperator(matrix)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            future = op.start_dense_eigh()
+            basis = lanczos_iterate(op, psi, 30)
+            evals, evecs = op.dense_eigh()
+        finally:
+            sys.setswitchinterval(interval)
+        assert future.done() and op.worker_started.is_set()
+        assert np.array_equal(basis.vectors, expected.vectors)
+        assert np.array_equal(basis.tridiag.diag, expected.tridiag.diag)
+        assert np.array_equal(basis.tridiag.offdiag, expected.tridiag.offdiag)
+        assert basis.residual_beta == expected.residual_beta
+        assert np.array_equal(evals, expected_evals)
+        assert np.array_equal(evecs, expected_evecs)
+
+    def test_solve_runs_once_on_the_worker(self, monkeypatch):
+        threads = []
+        eigh = LinearOperator._eigh
+
+        def recording(self):
+            threads.append(threading.current_thread())
+            return eigh(self)
+
+        monkeypatch.setattr(LinearOperator, "_eigh", recording)
+        op = goe_sample(32, 1)
+        assert op.start_dense_eigh() is op.start_dense_eigh()
+        first = op.dense_eigh()
+        assert op.dense_eigh() is first
+        assert len(threads) == 1 and threads[0] is not threading.main_thread()
+
+    def test_solve_error_raised_by_dense_eigh(self):
+        class Failing(LinearOperator):
+            def _eigh(self):
+                raise np.linalg.LinAlgError("eigenvalues did not converge")
+
+        op = Failing(4)
+        op.start_dense_eigh()
+        for _ in range(2):
+            with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+                op.dense_eigh()
 
 
 class TestOperators:

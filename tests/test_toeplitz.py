@@ -82,6 +82,11 @@ class TestEcho:
             numeric = abs(echo_general(tri_a, tri_b, t))
             assert abs(analytic - numeric) <= 1e-8
 
+    @pytest.mark.parametrize("n_sites, n_prime", [(0, 3), (3, 0), (-1, 2)])
+    def test_chain_size_below_one_rejected(self, n_sites, n_prime):
+        with pytest.raises(ValueError, match="chain sizes must be >= 1"):
+            toeplitz_echo(n_sites, n_prime, 0.0, 1.0, 1.0)
+
     def test_modulus_bounded(self, rng):
         for _ in range(25):
             n = int(rng.integers(1, 40))
