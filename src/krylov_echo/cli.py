@@ -126,6 +126,9 @@ class ExperimentConfig:
             raise ValueError("points must be >= 2")
         if not np.isfinite([self.t_min, self.t_max, *self.times]).all():
             raise ValueError("t_min, t_max and times must be finite")
+        for key in ("alpha", "beta"):
+            if not np.isfinite(getattr(self, key)):
+                raise ValueError(f"{key}={getattr(self, key)} must be finite")
         if not self.t_min < self.t_max:
             raise ValueError("t_min must be smaller than t_max")
         for name in self.estimators:
@@ -383,6 +386,8 @@ def cmd_evolve(cfg: ExperimentConfig) -> None:
     if oracle:
         hamiltonian.start_dense_eigh()
     report = evolve_adaptive(hamiltonian, psi, cfg.t_final, cfg.tol, cfg.krylov_n, kind=kind)
+    # Echo the basis size that ran; evolve_adaptive checks the requested one.
+    cfg = replace(cfg, krylov_n=min(cfg.krylov_n, hamiltonian.dim))
     state_path = cfg.state_out or f"{cfg.out}.kryv"
     write_state(state_path, report.final_state)
     comments = _config_comments(

@@ -25,7 +25,8 @@ terms are subtracted from it by axpy, and each Gram-Schmidt pass is one or
 two BLAS matrix-vector products on the stored basis. On most steps of a long
 run the projections already sit below ``ORTHO_RTOL``, so a step reads the
 basis about 1.2 times rather than twice, and it makes no vector-sized
-temporary.
+temporary. A caller that builds many bases, such as the adaptive stepper,
+passes one buffer to every build, so no basis is allocated after the first.
 """
 
 from __future__ import annotations
@@ -57,8 +58,10 @@ class KrylovBasis:
     marks ``breakdown``: the residual vanished, the stored span is invariant
     and evolution inside it is exact. ``vectors`` leads ``buffer``, whose row
     ``size`` holds the next Lanczos vector (unless broken down), followed in
-    a fresh basis by one spare row that :func:`extend_one` fills in place
-    instead of copying the basis. A basis built without a buffer cannot grow.
+    a fresh basis by at least one spare row that :func:`extend_one` fills in
+    place instead of copying the basis. ``buffer`` is allocated by
+    :func:`lanczos_iterate` or passed to it by the caller, who may reuse it
+    once done with the basis. A basis made with ``buffer=None`` cannot grow.
     """
 
     vectors: np.ndarray
@@ -124,7 +127,9 @@ def _recurrence_step(
     return alpha, residual_beta, max(scale, residual_beta)
 
 
-def lanczos_iterate(hamiltonian: LinearOperator, psi: np.ndarray, n_steps: int) -> KrylovBasis:
+def lanczos_iterate(
+    hamiltonian: LinearOperator, psi: np.ndarray, n_steps: int, buffer: np.ndarray | None = None
+) -> KrylovBasis:
     """Run the Lanczos recurrence for ``n_steps`` vectors.
 
     Reorthogonalizing every residual (see the module docstring) keeps the
@@ -140,6 +145,13 @@ def lanczos_iterate(hamiltonian: LinearOperator, psi: np.ndarray, n_steps: int) 
         inf entries are rejected.
     n_steps : int
         Requested basis size, ``1 <= n_steps <= hamiltonian.dim``.
+    buffer : array, optional
+        Caller-owned C-contiguous complex128 array of at least
+        ``min(n_steps + 2, dim + 1)`` rows of ``dim`` entries. The basis,
+        its next vector and the spare row are built in it, with ``psi``
+        divided into row 0 first, so ``psi`` may be any row of it; a basis
+        that breaks down stays in it. Without one, a zeroed array of that
+        many rows is allocated, and a breakdown basis is copied out of it.
 
     Returns
     -------
@@ -163,16 +175,33 @@ def lanczos_iterate(hamiltonian: LinearOperator, psi: np.ndarray, n_steps: int) 
 
     # Rows: the basis, its next vector, one spare; betas[j] couples site j-1 to j.
     dim = hamiltonian.dim
-    vecs = np.zeros((min(n_steps + 2, dim + 1), dim), dtype=np.complex128)
+    rows = min(n_steps + 2, dim + 1)
+    if buffer is None:
+        vecs = np.zeros((rows, dim), dtype=np.complex128)
+    elif not (
+        isinstance(buffer, np.ndarray)
+        and buffer.dtype == np.complex128
+        and buffer.flags.c_contiguous
+        and buffer.ndim == 2
+        and buffer.shape[0] >= rows
+        and buffer.shape[1] == dim
+    ):
+        raise ValueError(
+            f"buffer must be a C-contiguous complex128 array of at least {rows} rows of {dim}"
+        )
+    else:
+        vecs = buffer
     alphas = np.zeros(n_steps)
     betas = np.zeros(n_steps + 1)
 
-    vecs[0] = psi / source_norm
+    np.divide(psi, source_norm, out=vecs[0])
     scale, size = 0.0, n_steps
     for j in range(n_steps):
         alphas[j], betas[j + 1], scale = _recurrence_step(hamiltonian, vecs, j, betas[j], scale)
         if betas[j + 1] == 0.0:
-            vecs, size = vecs[: j + 1].copy(), j + 1
+            size = j + 1
+            if buffer is None:  # release the rows the basis did not use
+                vecs = vecs[:size].copy()
             break
 
     return KrylovBasis(

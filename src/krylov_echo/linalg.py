@@ -330,6 +330,8 @@ def exact_evolve_dense(
     psi = np.ascontiguousarray(psi, dtype=np.complex128)
     if psi.shape != (hamiltonian.dim,):
         raise ValueError(f"state shape {psi.shape} does not match dim {hamiltonian.dim}")
+    if not np.isfinite(psi).all():
+        raise ValueError("cannot evolve a state with NaN or inf entries")
     ts = _times(t)
     evals, evecs = hamiltonian.dense_eigh()
     return _per_time(t, _spectral_states(evals, evecs, _coefficients(evecs, psi), ts, psi))

@@ -136,7 +136,8 @@ def evolve_adaptive(
 ) -> EvolutionReport:
     """Evolve ``psi`` to ``t_final`` with restarted Krylov steps.
 
-    Each step rebuilds the basis from the current state, sizes the step so
+    Each step rebuilds the basis from the current state, in one buffer
+    allocated per evolution that also carries the state, sizes the step so
     its error amplitude fits the unspent amplitude spread over the remaining
     time, advances, and renormalizes. A breakdown basis means the subspace
     is invariant: its estimate is exactly zero, so the remaining time is
@@ -153,6 +154,10 @@ def evolve_adaptive(
 
     state = np.asarray(psi, dtype=np.complex128)
     n_krylov = min(n_krylov, hamiltonian.dim)
+    # Every step builds its basis in this one buffer. Its last row never holds
+    # a vector the step advances in, so once the estimate is taken it is free
+    # to carry the state into the next step's build.
+    buffer = np.empty((min(n_krylov + 2, hamiltonian.dim + 1), hamiltonian.dim), np.complex128)
     steps: list[StepRecord] = []
     now = 0.0
     spent_amplitude = 0.0
@@ -160,11 +165,13 @@ def evolve_adaptive(
     while t_final - now > 1e-12 * t_final:
         tick = time.perf_counter()
         t_remaining = t_final - now
-        eval_fn = bind_estimator(kind, lanczos_iterate(hamiltonian, state, n_krylov), hamiltonian)
+        eval_fn = bind_estimator(
+            kind, lanczos_iterate(hamiltonian, state, n_krylov, buffer=buffer), hamiltonian
+        )
         rate = (math.sqrt(tol) - spent_amplitude) / t_remaining
         dt, estimate = _max_step(eval_fn, lambda step: (rate * step) ** 2, t_remaining)
         state = krylov_evolve(eval_fn.basis, dt)
-        state = state / np.linalg.norm(state)
+        state = np.divide(state, np.linalg.norm(state), out=buffer[-1])
         spent_amplitude += math.sqrt(estimate)
         steps.append(
             StepRecord(
@@ -177,11 +184,11 @@ def evolve_adaptive(
             )
         )
         now += dt
-        del eval_fn  # free this step's basis before the next one is built
+        del eval_fn  # free this step's tridiagonal eigensolves before the next basis is built
 
     total = sum(step.estimated_error for step in steps)
     return EvolutionReport(
-        final_state=state,
+        final_state=state.copy(),
         steps=steps,
         total_estimated_error=total,
         infidelity_bound=spent_amplitude**2,

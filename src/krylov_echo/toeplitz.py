@@ -37,10 +37,12 @@ def toeplitz_echo(n_sites: int, n_prime: int, alpha: float, beta: float, t):
 
     Evaluated as ``sum_n S^N_{n,1}(t) S^{N'}_{1,n}(-t)``, with
     ``S^N(t) = exp(+i T_N t)``, over the shared sites, entirely from the
-    closed-form eigenpairs.
+    closed-form eigenpairs. ``alpha`` and ``beta`` must be finite.
     """
     if n_sites < 1 or n_prime < 1:
         raise ValueError("chain sizes must be >= 1")
+    if not np.isfinite([alpha, beta]).all():
+        raise ValueError(f"alpha={alpha} and beta={beta} must be finite")
     chains = (_toeplitz_eigen(n_sites, alpha, beta), _toeplitz_eigen(n_prime, alpha, beta))
     return _over_chains(_overlaps, t, *chains)
 

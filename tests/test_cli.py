@@ -161,6 +161,16 @@ class TestConfigHandling:
         assert "finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key", ["alpha", "beta"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_chain_coefficient_named(self, tmp_path, capsys, key, bad):
+        out = tmp_path / "never.csv"
+        assert main(f"toeplitz --n 10 --points 5 --t-max 5 --{key}={bad} --out {out}".split()) == 1
+        assert f"{key}={float(bad)} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+        with pytest.raises(ValueError, match=f"{key}="):
+            ExperimentConfig(**{key: float(bad)}).validate()
+
 
 class TestStateFiles:
     def test_round_trip_bit_exact(self, tmp_path, rng):
@@ -582,6 +592,14 @@ class TestEvolveCommand:
         state = read_state(state_out)
         assert state.size == 64
         assert abs(np.linalg.norm(state) - 1.0) <= 1e-12
+
+    def test_krylov_n_echo_is_the_basis_that_ran(self, tmp_path):
+        # dim 4 is below the requested 30: the echo names the size that ran.
+        out = tmp_path / "evolve.csv"
+        assert main(f"evolve --model ising --n 2 --krylov-n 30 --t-final 1 --out {out}".split()) == 0
+        comments, header, rows = read_csv(out)
+        assert comments["krylov_n"] == "4"
+        assert column(header, rows, "basis_size").max() == 4
 
     def test_infidelity_bound_line(self, tmp_path):
         out = tmp_path / "evolve.csv"

@@ -387,3 +387,73 @@ class TestCopyFree:
         assert np.abs(twice.tridiag.offdiag - direct.tridiag.offdiag).max() <= 1e-12
         assert twice.residual_beta == pytest.approx(direct.residual_beta, abs=1e-12)
         assert np.abs(twice.vectors - direct.vectors).max() <= 1e-12
+
+
+class TestCallerBuffer:
+    """A basis built in a caller's buffer is the fresh build, bit for bit, in that memory."""
+
+    @staticmethod
+    def same(a, b):
+        return (
+            a.vectors.tobytes() == b.vectors.tobytes()
+            and a.tridiag.diag.tobytes() == b.tridiag.diag.tobytes()
+            and a.tridiag.offdiag.tobytes() == b.tridiag.offdiag.tobytes()
+            and a.residual_beta == b.residual_beta
+            and a.source_norm == b.source_norm
+        )
+
+    def test_build_in_buffer_matches_fresh_build(self):
+        ham = ising_operator(IsingParams(8))
+        psi = random_state(ham.dim, 2)
+        fresh = lanczos_iterate(ham, psi, 20)
+        buffer = np.full((22, ham.dim), np.nan + 0j)
+        basis = lanczos_iterate(ham, psi, 20, buffer=buffer)
+        assert basis.buffer is buffer and np.shares_memory(basis.vectors, buffer)
+        assert self.same(basis, fresh)
+        assert basis.buffer[20].tobytes() == fresh.buffer[20].tobytes()
+        assert self.same(extend_one(basis, ham), extend_one(fresh, ham))
+
+    def test_start_state_in_the_spare_row(self):
+        # The stepper carries its state in the buffer's last row.
+        ham = goe_sample(64, 7)
+        psi = 3.0 * random_state(64, 8)
+        buffer = np.empty((12, 64), dtype=np.complex128)
+        buffer[-1] = psi
+        basis = lanczos_iterate(ham, buffer[-1], 10, buffer=buffer)
+        assert self.same(basis, lanczos_iterate(ham, psi, 10))
+
+    def test_breakdown_basis_stays_in_the_buffer(self):
+        op = DenseOperator(np.diag([1.0, 2.0, 3.0, 4.0]))
+        buffer = np.full((4, 4), np.nan + 0j)
+        basis = lanczos_iterate(op, basis_state(4), 2, buffer=buffer)
+        assert basis.breakdown and basis.size == 1
+        assert np.shares_memory(basis.vectors, buffer)
+        assert self.same(basis, lanczos_iterate(op, basis_state(4), 2))
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda rows, dim: np.empty((rows - 1, dim), dtype=np.complex128),
+            lambda rows, dim: np.empty((rows, dim + 1), dtype=np.complex128),
+            lambda rows, dim: np.empty((rows, dim), dtype=np.complex64),
+            lambda rows, dim: np.empty((rows, dim), dtype=np.float64),
+            lambda rows, dim: np.empty((rows, dim), dtype=np.complex128, order="F"),
+            lambda rows, dim: np.empty((2 * rows, dim), dtype=np.complex128)[::2],
+            lambda rows, dim: np.empty((rows, 2 * dim), dtype=np.complex128)[:, ::2],
+            lambda rows, dim: np.empty(rows * dim, dtype=np.complex128),
+            lambda rows, dim: [[0j] * dim] * rows,
+        ],
+        ids=["rows", "width", "complex64", "float64", "fortran", "row-stride", "column-stride", "flat", "list"],
+    )
+    def test_unusable_buffer_rejected(self, make):
+        ham = goe_sample(32, 1)
+        with pytest.raises(ValueError, match="C-contiguous complex128 array of at least 12 rows of 32"):
+            lanczos_iterate(ham, random_state(32, 2), 10, buffer=make(12, 32))
+
+    def test_full_dimension_needs_one_row_beyond_the_basis(self):
+        ham = goe_sample(8, 3)
+        psi = random_state(8, 4)
+        with pytest.raises(ValueError, match="at least 9 rows"):
+            lanczos_iterate(ham, psi, 8, buffer=np.empty((8, 8), dtype=np.complex128))
+        basis = lanczos_iterate(ham, psi, 8, buffer=np.empty((9, 8), dtype=np.complex128))
+        assert self.same(basis, lanczos_iterate(ham, psi, 8))

@@ -134,6 +134,17 @@ class TestExactEvolveDense:
         with pytest.raises(ValueError, match="finite"):
             exact_evolve_dense(op, basis_state(4), t)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_non_finite_state_rejected_before_the_solve(self, bad):
+        ham = goe_sample(8, 1)
+        psi = random_state(8, 2)
+        psi[3] = bad
+        with pytest.raises(ValueError, match="NaN or inf"):
+            exact_evolve_dense(ham, psi, [1.0])
+        with pytest.raises(ValueError, match="NaN or inf"):
+            exact_evolve_dense(ham, np.full(8, np.nan + 0j), [1.0])
+        assert ham._dense_eigh is None
+
 
 MODELS = {
     "ising": lambda: ising_operator(IsingParams(8)),

@@ -87,6 +87,13 @@ class TestEcho:
         with pytest.raises(ValueError, match="chain sizes must be >= 1"):
             toeplitz_echo(n_sites, n_prime, 0.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize(
+        "alpha, beta", [(np.nan, 1.0), (0.0, np.nan), (np.inf, 1.0), (0.0, -np.inf)]
+    )
+    def test_non_finite_coefficients_rejected(self, alpha, beta):
+        with pytest.raises(ValueError, match="must be finite"):
+            toeplitz_echo(10, 11, alpha, beta, [1.0])
+
     def test_modulus_bounded(self, rng):
         for _ in range(25):
             n = int(rng.integers(1, 40))
