@@ -89,7 +89,10 @@ class IsingOperator(LinearOperator):
         n, idx = params.n_spins, np.arange(self.dim)
         walls = np.bitwise_count((idx ^ (idx >> 1)) & ((1 << (n - 1)) - 1))
         bonds = (n - 1) - 2.0 * walls
-        self._diag = params.h_z * (n - 2.0 * np.bitwise_count(idx)) - params.J * bonds
+        diag = params.h_z * (n - 2.0 * np.bitwise_count(idx)) - params.J * bonds
+        # Each entry twice, once per float64 of a complex entry, so that the
+        # diagonal multiplies the float64 view of a vector in one pass.
+        self._diag_pairs = np.repeat(diag, 2)
         # The lowest group right-multiplies rows of (re, im) pairs, hence the
         # kron with I2; a group at bit lo left-multiplies the view reshaped to
         # (-1, 2^b, 2 * 2^lo).
@@ -110,17 +113,15 @@ class IsingOperator(LinearOperator):
             np.matmul(flips, src.reshape(-1, rows, cols), out=part.reshape(-1, rows, cols))
             acc += part
         acc *= self.params.h_x
-        # Real times real, part by part: mixing real and complex, or
-        # broadcasting the diagonal over (re, im) pairs, goes through ufunc
-        # buffers as large as the vector.
-        np.multiply(vec.real, self._diag, out=tmp.real)
-        np.multiply(vec.imag, self._diag, out=tmp.imag)
+        # One contiguous multiply on the float64 view: each real and imaginary
+        # part meets its diagonal entry, the same product as part by part.
+        np.multiply(src, self._diag_pairs, out=part)
         acc += part
         return out
 
     def to_dense(self) -> np.ndarray:
         """Real dense form, entry by entry: the diagonal, then ``h_x`` at each bit flip."""
-        dense, idx = np.diag(self._diag), np.arange(self.dim)
+        dense, idx = np.diag(self._diag_pairs[::2]), np.arange(self.dim)
         for k in range(self.params.n_spins):
             dense[idx, idx ^ (1 << k)] += self.params.h_x
         return dense

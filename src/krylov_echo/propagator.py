@@ -31,7 +31,8 @@ def krylov_evolve(basis: KrylovBasis, t) -> np.ndarray:
     Returns a ``source_dim`` state with the norm of the original input (one
     row per time of an array ``t``); ``t = 0`` reproduces the input state.
     """
-    return basis.source_norm * (reduced_coefficients(basis, t) @ basis.vectors)
+    # Scaling the coefficients, not the state, allocates one state per time, not two.
+    return (basis.source_norm * reduced_coefficients(basis, t)) @ basis.vectors
 
 
 def project_profile(basis: KrylovBasis, state: np.ndarray) -> np.ndarray:

@@ -8,6 +8,7 @@ import pytest
 
 from krylov_echo import lanczos
 from krylov_echo.lanczos import (
+    OMEGA_GATE,
     ORTHO_RTOL,
     KrylovBasis,
     _reorthogonalize,
@@ -286,6 +287,107 @@ class TestProjectionSkip:
         reduced = reduction_matrix(basis, ham)
         tol = 1e-12 * max(np.abs(basis.tridiag.diag).max(), basis.tridiag.offdiag.max())
         assert np.abs(reduced - basis.tridiag.to_dense()).max() <= tol
+
+
+class Diagonal(LinearOperator):
+    def __init__(self, values):
+        super().__init__(values.size)
+        self.values = values
+
+    def apply(self, vec):
+        return self.values * vec
+
+
+def build_checking_skips(monkeypatch, ham, psi, n):
+    """The basis, and the true ``max_k |<v_k, v_{j+1}>|`` of every step that skipped the measurement."""
+    passes, skipped = [], []
+    step, reorthogonalize = lanczos._recurrence_step, lanczos._reorthogonalize
+
+    def counting_reorthogonalize(*args, **kwargs):
+        passes.append(1)
+        return reorthogonalize(*args, **kwargs)
+
+    def checked_step(hamiltonian, vecs, j, *args):
+        before = len(passes)
+        alpha, beta, scale = step(hamiltonian, vecs, j, *args)
+        if len(passes) == before and beta > 0.0:
+            skipped.append(np.abs(vecs[: j + 1].conj() @ vecs[j + 1]).max())
+        return alpha, beta, scale
+
+    monkeypatch.setattr(lanczos, "_reorthogonalize", counting_reorthogonalize)
+    monkeypatch.setattr(lanczos, "_recurrence_step", checked_step)
+    return lanczos_iterate(ham, psi, n), skipped
+
+
+class TestOverlapGate:
+    """Between measurements the overlaps are modelled; a step measures when the model crosses OMEGA_GATE."""
+
+    @pytest.mark.parametrize(
+        "make, seed, n",
+        [
+            (lambda: ising_operator(IsingParams(10)), 11, 80),
+            (lambda: goe_sample(1024, 3), 11, 80),
+            # A model that keeps the signs of its terms, reset to +ORTHO_RTOL,
+            # let a skipped step's overlap reach 1.37e-13 here.
+            (lambda: ising_operator(IsingParams(8)), 6, 80),
+            # Ritz values converge on the outliers first, the classic loss of orthogonality.
+            (lambda: Diagonal(np.concatenate([np.linspace(0, 1, 1995), [3, 5, 8, 13, 21]])), 11, 300),
+        ],
+        ids=["ising-n10", "goe-d1024", "ising-n8", "outliers-d2000"],
+    )
+    def test_skipped_steps_stay_within_the_gate(self, make, seed, n, monkeypatch):
+        ham = make()
+        basis, skipped = build_checking_skips(monkeypatch, ham, random_state(ham.dim, seed), n)
+        assert basis.size == n
+        assert skipped
+        assert max(skipped) <= OMEGA_GATE
+        gram = basis.vectors.conj() @ basis.vectors.T
+        assert np.abs(gram - np.eye(n)).max() <= 1e-13
+
+    def test_measures_fewer_steps_and_updates_only_the_span(self, monkeypatch):
+        measures, updates = [], []
+        zgemv = lanczos.zgemv
+
+        def recording_zgemv(alpha, a, x, **kwargs):
+            if kwargs.get("trans") == 2:
+                coeffs = zgemv(alpha, a, x, **kwargs)
+                flagged = np.flatnonzero(np.abs(coeffs) > ORTHO_RTOL * np.linalg.norm(x))
+                measures.append((a, coeffs, flagged))
+                return coeffs
+            basis, coeffs, flagged = measures[-1]
+            lo, hi = flagged[0], flagged[-1] + 1
+            assert a.shape == (basis.shape[0], hi - lo)
+            assert np.shares_memory(a, basis[:, lo:hi]) and np.array_equal(a, basis[:, lo:hi])
+            assert np.array_equal(x, coeffs[lo:hi])
+            updates.append(hi - lo)
+            return zgemv(alpha, a, x, **kwargs)
+
+        monkeypatch.setattr(lanczos, "zgemv", recording_zgemv)
+        ham = ising_operator(IsingParams(12))
+        n = 30
+        lanczos_iterate(ham, random_state(ham.dim, 1), n)
+        assert len(measures) < 0.6 * n
+        assert updates
+
+    def test_update_subtracts_only_the_flagged_span(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        vecs = orthonormal_rows(rng, 512, 20)
+        w = orthogonal_residual(rng, vecs)
+        w += 10 * ORTHO_RTOL * np.linalg.norm(w) * (vecs[3] + vecs[7])
+        updates = []
+        zgemv = lanczos.zgemv
+
+        def recording_zgemv(alpha, a, x, **kwargs):
+            if kwargs.get("trans") != 2:
+                updates.append(a)
+            return zgemv(alpha, a, x, **kwargs)
+
+        monkeypatch.setattr(lanczos, "zgemv", recording_zgemv)
+        out, norm = _reorthogonalize(w, vecs)
+        assert len(updates) == 1
+        assert updates[0].shape == (512, 5)
+        assert np.shares_memory(updates[0], vecs[3:8]) and np.array_equal(updates[0], vecs[3:8].T)
+        assert np.abs(vecs.conj() @ out).max() <= ORTHO_RTOL * norm
 
 
 class TestExtendOne:

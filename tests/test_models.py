@@ -74,6 +74,22 @@ class TestIsingOperator:
         assert np.array_equal(vec, kept)
         assert not np.shares_memory(out, vec)
 
+    def test_apply_is_the_two_part_formula_bit_for_bit(self, rng):
+        # The diagonal multiplies the float64 view in one pass: each real and
+        # imaginary part must get the product it gets on its own. With h_z = J
+        # = 0 the diagonal term is zero, and with h_x = 0 the flip term is, so
+        # each of the two terms comes out alone and exactly.
+        n, h_x = 12, 0.7
+        vec = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+        flips = ising_operator(IsingParams(n, J=0.0, h_x=h_x, h_z=0.0)).apply(vec)
+        diag = ising_operator(IsingParams(n, h_x=0.0)).apply(np.ones(2**n, complex)).real
+        expected = np.empty_like(vec)
+        np.multiply(vec.real, diag, out=expected.real)
+        np.multiply(vec.imag, diag, out=expected.imag)
+        expected += flips
+        out = ising_operator(IsingParams(n, h_x=h_x)).apply(vec)
+        assert np.array_equal(out.view(np.float64), expected.view(np.float64))
+
     def test_apply_peak_memory(self, rng):
         ham = ising_operator(IsingParams(12))
         vec = rng.standard_normal(ham.dim) + 1j * rng.standard_normal(ham.dim)

@@ -1,5 +1,7 @@
 """Krylov evolution, chain profiles, infidelity, and the echo identity."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,21 @@ class TestKrylovEvolve:
         _, _, basis = ising10
         for t in (0.7, 5.0, 33.0):
             assert abs(np.linalg.norm(krylov_evolve(basis, t)) - 1.0) <= 1e-12
+
+    def test_map_back_allocates_one_state(self):
+        ham = ising_operator(IsingParams(12))
+        basis = lanczos_iterate(ham, random_state(ham.dim, 1), 30)
+        krylov_evolve(basis, 0.5)  # solve and cache the tridiagonal outside the measurement
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            krylov_evolve(basis, 1.5)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        # Scaling the state after the product, not the coefficients before it,
+        # allocated a second state: 2.00 vectors measured.
+        assert peak <= 1.05 * ham.dim * 16
 
     def test_unnormalized_input_scale_preserved(self):
         ham = ising_operator(IsingParams(4))
