@@ -1,13 +1,17 @@
 """Experiment harness: CSV-producing subcommands over the evolution engine.
 
-Subcommands: ``regimes`` (echo/error time regimes against the dense oracle),
-``snapshots`` (chain wave-packet profiles), ``bounds`` (estimators vs the
-true error), ``toeplitz`` (closed-form vs numeric echo), ``evolve``
-(adaptive time stepping). Each option is declared once, as a field of
-``ExperimentConfig``, and the parser is built from those fields. Values come
-from an optional flat ``key=value`` file plus command-line overrides, and
-``_coerce`` parses every one of them; every output embeds a config echo in
-``#`` comment lines so it is self-describing.
+Subcommands: ``regimes`` (echo/error time regimes against the exact
+evolution), ``snapshots`` (chain wave-packet profiles, exact and Krylov),
+``bounds`` (estimators vs the true error), ``toeplitz`` (closed-form vs
+numeric echo), ``evolve`` (adaptive time stepping). The exact evolution of
+``regimes``, ``snapshots`` and ``bounds`` comes from the Chebyshev
+propagator on the Ritz interval of the basis each command builds; ``evolve``
+checks its final state against the dense oracle, solved beside the stepper.
+Each option is declared once, as a field of ``ExperimentConfig``, and the
+parser is built from those fields. Values come from an optional flat
+``key=value`` file plus command-line overrides, and ``_coerce`` parses every
+one of them; every output embeds a config echo in ``#`` comment lines so it
+is self-describing.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import numpy as np
 
 from .estimators import (
     ESTIMATOR_NAMES,
+    _exact_propagator,
     bind_estimator,
     echo_general,
     extra_site_band,
@@ -33,6 +38,7 @@ from .linalg import (
     DenseOperator,
     LinearOperator,
     SymmetricTridiagonal,
+    _chebyshev_error,
     _end_states,
     _over_times,
     basis_state,
@@ -62,6 +68,17 @@ STATE_SEED_OFFSET = 1_000_003
 # of exponential error growth, and the plateau level it must sit below.
 PLATEAU_LEVEL = 1e-10
 SUSTAIN_POINTS = 3
+
+# A bounds ratio cell is left empty where the oracle is at or below this.
+# The oracle reads each Krylov state against a Chebyshev state within
+# delta = _chebyshev_error(phase) of the exact one, so an infidelity eps is
+# read off by up to 2 delta sqrt(eps) + delta^2: a ratio is good to 10 %
+# only where sqrt(eps) >= 20 delta. An oracle that small is met at short
+# times, where the phase (|c| + r) t is at most about 10: a basis of the
+# default 30 sites has an error near ((rt/2)^30 / 30!)^2, which reaches
+# 1e-26 at rt = 9. So delta <= _chebyshev_error(10) = 9.9e-15 there, and the
+# floor is (20 delta)^2 = 3.9e-26.
+ORACLE_FLOOR = (20.0 * _chebyshev_error(10.0)) ** 2
 
 
 # The subcommands that read a shared option: those that build a model, those
@@ -284,7 +301,6 @@ def cmd_regimes(cfg: ExperimentConfig) -> None:
     """Echo and true error across a time grid, with measured regime times."""
     hamiltonian, psi = build_model(cfg, oracle=True)
     cfg = replace(cfg, krylov_n=min(cfg.krylov_n, hamiltonian.dim))
-    hamiltonian.start_dense_eigh()
     basis = lanczos_iterate(hamiltonian, psi, cfg.krylov_n)
     ts = _grid(cfg)
     errors = oracle_infidelities(basis, hamiltonian, ts, cap=cfg.oracle_cap)
@@ -311,18 +327,13 @@ def cmd_snapshots(cfg: ExperimentConfig) -> None:
             f"profile_m {profile_m} must lie in [krylov_n {krylov_n}, dim {hamiltonian.dim}]"
         )
     cfg = replace(cfg, krylov_n=krylov_n, profile_m=profile_m)
-    hamiltonian.start_dense_eigh()
     basis = lanczos_iterate(hamiltonian, psi, profile_m)
     reduced = basis.tridiag.prefix(min(krylov_n, basis.size))
     times = np.asarray(cfg.times, dtype=float)
     pop_krylov = np.zeros((times.size, basis.size))
     pop_krylov[:, : reduced.n] = np.abs(_end_states(reduced.eigen(), times)) ** 2
-
-    def exact_profiles(block):
-        states = exact_evolve_dense(hamiltonian, psi, block, cap=cfg.oracle_cap)
-        return project_profile(basis, states)
-
-    pop_exact = _over_times(exact_profiles, times, hamiltonian.dim)
+    exact = _exact_propagator(basis, hamiltonian)
+    pop_exact = _over_times(lambda block: project_profile(basis, exact(block)), times, hamiltonian.dim)
     rows = zip(
         np.repeat(times, basis.size),
         np.tile(np.arange(basis.size), times.size),
@@ -339,7 +350,6 @@ def cmd_bounds(cfg: ExperimentConfig) -> None:
     """Cheap estimators against the oracle error, with per-time ratios."""
     hamiltonian, psi = build_model(cfg, oracle=True)
     cfg = replace(cfg, krylov_n=min(cfg.krylov_n, hamiltonian.dim))
-    hamiltonian.start_dense_eigh()
     basis = lanczos_iterate(hamiltonian, psi, cfg.krylov_n)
     estimator_fns = {
         name: bind_estimator(name, basis, hamiltonian) for name in cfg.estimators
@@ -352,8 +362,8 @@ def cmd_bounds(cfg: ExperimentConfig) -> None:
         header += ["band_low", "band_high"]
     oracles = oracle_infidelities(basis, hamiltonian, ts, cap=cfg.oracle_cap)
     estimates = [estimator_fns[name](ts) for name in cfg.estimators]
-    # A ratio over an oracle of exactly 0 is undefined: its cell is left empty.
-    undefined = oracles == 0.0
+    # A ratio over an oracle at its floor is roundoff, not a measurement: its cell is left empty.
+    undefined = oracles <= ORACLE_FLOOR
     ratios = [np.where(undefined, None, est / np.where(undefined, 1.0, oracles)) for est in estimates]
     columns = [ts, oracles, *estimates, *ratios]
     if cfg.band:
@@ -363,6 +373,7 @@ def cmd_bounds(cfg: ExperimentConfig) -> None:
         cfg,
         ("model", "n", "J", "h_x", "h_z", "krylov_n", "t_min", "t_max", "points", "seed", "estimators", "band"),
     )
+    comments.append(f"oracle_floor={_fmt(ORACLE_FLOOR)}")
     _write_csv(cfg.out, comments, header, rows)
 
 

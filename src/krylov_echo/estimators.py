@@ -28,12 +28,13 @@ from .linalg import (
     DEFAULT_ORACLE_CAP,
     LinearOperator,
     SymmetricTridiagonal,
+    _check_oracle_cap,
+    _ChebyshevPropagator,
     _over_chains,
     _over_times,
     _overlaps,
     _per_time,
     _times,
-    exact_evolve_dense,
 )
 from .propagator import _infidelity, krylov_evolve
 from .toeplitz import _toeplitz_eigen
@@ -187,6 +188,19 @@ def extra_site_band(basis: KrylovBasis, t) -> tuple:
     return values.min(axis=-1), values.max(axis=-1)
 
 
+def _exact_propagator(basis: KrylovBasis, hamiltonian: LinearOperator) -> _ChebyshevPropagator:
+    """Chebyshev propagator of the basis's start state on the interval the basis holds.
+
+    The interval runs between the extreme Ritz values; a one-vector basis
+    has one, so its interval is that value plus or minus the residual
+    coupling, the spread of the start state's spectrum about it (0 at
+    breakdown, where the start state is an eigenvector).
+    """
+    ritz = basis.tridiag.eigen().eigenvalues
+    spread = basis.residual_beta if basis.size == 1 else 0.0
+    return _ChebyshevPropagator(hamiltonian, basis.vectors[0], ritz[0] - spread, ritz[-1] + spread)
+
+
 def oracle_infidelities(
     basis: KrylovBasis,
     hamiltonian: LinearOperator,
@@ -196,17 +210,23 @@ def oracle_infidelities(
 ) -> np.ndarray:
     """True infidelity of the Krylov evolution at each of ``ts`` (verification only).
 
-    One time block at a time, :func:`krylov_echo.linalg.exact_evolve_dense`
-    forms the exact states and :func:`krylov_evolve` the Krylov states as one
-    product; each pair goes through the infidelity kernel of
-    :func:`krylov_echo.propagator.true_infidelity`. ``ts`` is a scalar or a
-    1-D array of finite times, checked before any work.
+    One time block at a time, the Chebyshev propagator of
+    :mod:`krylov_echo.linalg` forms the exact states, to within its stated
+    bound ``linalg._chebyshev_error``, on the interval of the basis's Ritz
+    values, and :func:`krylov_evolve` the Krylov states as one product; each
+    pair goes through the infidelity kernel of
+    :func:`krylov_echo.propagator.true_infidelity`. No dense matrix is formed
+    or solved. A dimension above ``cap`` is refused, and ``ts``, a scalar or
+    a 1-D array of finite times, is checked, before any work.
     """
-    psi = basis.vectors[0]
+    _check_oracle_cap(hamiltonian.dim, cap)
+    exact = _exact_propagator(basis, hamiltonian)
 
     def block(times):
-        exact = exact_evolve_dense(hamiltonian, psi, times, cap=cap)
-        return _infidelity(krylov_evolve(basis, times) / basis.source_norm, exact)
+        states = exact(times)
+        krylov = krylov_evolve(basis, times)
+        krylov /= basis.source_norm
+        return _infidelity(krylov, states)
 
     return _over_times(block, ts, hamiltonian.dim)
 
@@ -218,7 +238,7 @@ def estimate_oracle(
     *,
     cap: int = DEFAULT_ORACLE_CAP,
 ) -> float:
-    """True infidelity against the dense evolution oracle at one time (verification only)."""
+    """True infidelity at one time: :func:`oracle_infidelities` at a scalar ``t`` (verification only)."""
     return float(oracle_infidelities(basis, hamiltonian, t, cap=cap))
 
 

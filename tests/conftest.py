@@ -35,6 +35,26 @@ def ising_dense_oracle(params: IsingParams) -> np.ndarray:
     return ham
 
 
+def eigh_evolution(matrix: np.ndarray):
+    """Test-side ``exp(-i H t) psi`` from one ``np.linalg.eigh``, as a function of ``(psi, t)``.
+
+    Formed as ``psi + E (expm1(-i lambda t) E^dagger psi)``, so the
+    eigenvectors' own rounding enters scaled by ``|lambda t|`` and the state
+    at short times is not held at their ~1e-15 orthogonality floor.
+    """
+    evals, evecs = np.linalg.eigh(matrix)
+
+    def evolve(psi: np.ndarray, t: float) -> np.ndarray:
+        return psi + evecs @ (np.expm1(-1j * evals * t) * (evecs.conj().T @ psi))
+
+    return evolve
+
+
+def infidelity_allowance(eps, delta):
+    """How far ``||r||^2 = eps`` may move when the states it is read from move by ``delta``."""
+    return delta * (2.0 * np.sqrt(eps) + delta)
+
+
 def chain_transition(n_sites: int, n: int, n_prime: int, t: float) -> complex:
     """Textbook amplitude ``<n| exp(+i T t) |n'>`` of the chain with onsite 0 and hopping 1.
 

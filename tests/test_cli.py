@@ -11,16 +11,22 @@ import numpy as np
 import pytest
 
 import krylov_echo
+from conftest import infidelity_allowance
 from krylov_echo import cli, linalg
 from krylov_echo.cli import (
+    ORACLE_FLOOR,
     ExperimentConfig,
+    _fmt,
     build_model,
     load_config_file,
     main,
     measure_regime_times,
 )
-from krylov_echo.linalg import LinearOperator
+from krylov_echo.estimators import _exact_propagator
+from krylov_echo.lanczos import lanczos_iterate
+from krylov_echo.linalg import LinearOperator, _chebyshev_error, exact_evolve_dense
 from krylov_echo.models import IsingOperator
+from krylov_echo.propagator import krylov_evolve, true_infidelity
 from krylov_echo.stateio import read_state, write_state
 
 
@@ -480,9 +486,23 @@ class TestBoundsCommand:
         assert rc == 0
         _, header, rows = read_csv(out)
         ts = column(header, rows, "t")
-        ratios = column(header, rows[1:], "ratio_extra_site_exact")
         assert ts[0] == 0.0 and (ts[1:] > 0.0).all()
-        assert np.abs(ratios - 1.0).max() <= 1e-12
+        # Against the dense point oracle, whose rounding follows the
+        # estimator's on this chain; the CSV oracle meets it within the
+        # Chebyshev propagator's stated bound.
+        ham, psi = build_model(ExperimentConfig(model="toeplitz", n=11))
+        basis = lanczos_iterate(ham, psi, 10)
+        dense = np.array(
+            [true_infidelity(krylov_evolve(basis, t), exact_evolve_dense(ham, psi, t)) for t in ts]
+        )
+        estimates = column(header, rows, "extra_site_exact")
+        assert np.abs(estimates[1:] / dense[1:] - 1.0).max() <= 1e-12
+        exact = _exact_propagator(basis, ham)
+        delta = 2 * _chebyshev_error((abs(exact.centre) + exact.radius) * ts)
+        oracle = column(header, rows, "oracle")
+        # The cells carry 15 significant digits.
+        printed = 1e-14 * dense
+        assert (np.abs(oracle - dense) <= infidelity_allowance(dense, delta) + printed).all()
 
     def test_band_columns(self, tmp_path):
         out = tmp_path / "bounds.csv"
@@ -498,20 +518,43 @@ class TestBoundsCommand:
         assert (low <= high).all()
 
     def test_ratios_resolved_at_short_times(self, tmp_path):
-        # At these times the error lies far below 1e-16; the oracle and the
-        # echo estimators resolve it with the same residual form.
+        # At these times the error lies far below 1e-16, yet above the
+        # oracle floor; the oracle and the echo estimators resolve it with
+        # the same residual form.
         out = tmp_path / "bounds.csv"
         rc = main(
-            "bounds --model ising --n 8 --krylov-n 16 --t-min 0.01 --t-max 0.2 "
+            "bounds --model ising --n 8 --krylov-n 16 --t-min 0.25 --t-max 0.4 "
             "--points 5 --estimator extra_site_exact --estimator extra_site_hybrid "
             f"--estimator park_light --seed 1 --out {out}".split()
         )
         assert rc == 0
         _, header, rows = read_csv(out)
+        oracle = column(header, rows, "oracle")
+        assert (oracle > ORACLE_FLOOR).all() and (oracle < 1e-16).all()
         for name in header:
             if name.startswith("ratio_"):
                 assert np.isfinite(column(header, rows, name)).all(), name
         assert 0.5 <= column(header, rows, "ratio_extra_site_exact")[-1] <= 2.0
+
+    def test_ratio_empty_at_the_oracle_floor(self, tmp_path):
+        # Below t = 0.25 the oracle of this 16-site basis is roundoff of the
+        # states it compares; the echoed floor splits the rows.
+        out = tmp_path / "bounds.csv"
+        rc = main(
+            "bounds --model ising --n 8 --krylov-n 16 --t-min 0 --t-max 0.4 --points 9 "
+            f"--estimator extra_site_exact --estimator park_light --seed 1 --out {out}".split()
+        )
+        assert rc == 0
+        comments, header, rows = read_csv(out)
+        assert comments["oracle_floor"] == _fmt(ORACLE_FLOOR)
+        assert ORACLE_FLOOR == (20 * _chebyshev_error(10.0)) ** 2
+        oracle = column(header, rows, "oracle")
+        at_floor = oracle <= float(comments["oracle_floor"])
+        assert at_floor.sum() == 5 and (~at_floor).sum() == 4
+        for name in ("ratio_extra_site_exact", "ratio_park_light"):
+            cells = np.array([row[header.index(name)] for row in rows])
+            assert (cells[at_floor] == "").all()
+            assert np.isfinite(cells[~at_floor].astype(float)).all()
 
     def test_ratio_columns_track(self, tmp_path):
         out = tmp_path / "bounds.csv"
@@ -727,23 +770,23 @@ class TestMainEntry:
     @pytest.mark.parametrize(
         "args, sizes",
         [
-            ("regimes --model ising --n 6 --krylov-n 10 --t-max 4 --points 300", [36, 28]),
-            ("bounds --model goe --n 64 --krylov-n 10 --t-max 2 --points 200 --band", [64]),
+            ("regimes --model ising --n 6 --krylov-n 10 --t-max 4 --points 300", []),
+            ("bounds --model goe --n 64 --krylov-n 10 --t-max 2 --points 200 --band", []),
             ("evolve --model ising --n 6 --krylov-n 10 --t-final 5", [36, 28]),
             # Three oracle blocks of times at this dimension.
             (
                 "snapshots --model ising --n 8 --krylov-n 10 --profile-m 20 --times "
                 + ",".join(f"{0.01 * k:g}" for k in range(600)),
-                [136, 120],
+                [],
             ),
         ],
         ids=["regimes", "bounds", "evolve", "snapshots"],
     )
     def test_one_dense_eigensolve_per_run(self, tmp_path, monkeypatch, args, sizes):
-        # One decomposition of the whole space per run, in real arithmetic:
-        # a GOE matrix in one piece, the Ising chain as its two reflection
-        # sectors, whose sizes sum to its dimension (64 = 36 + 28 at n=6,
-        # 256 = 136 + 120 at n=8).
+        # The sweeps take their exact states from the Chebyshev propagator,
+        # with no dense solve. evolve makes one decomposition of the whole
+        # space, in real arithmetic: the Ising chain as its two reflection
+        # sectors, whose sizes sum to its dimension (64 = 36 + 28 at n=6).
         calls = []
         eigh = np.linalg.eigh
 
@@ -759,9 +802,9 @@ class TestMainEntry:
     @pytest.mark.parametrize(
         "args, solves",
         [
-            ("regimes --model ising --n 6 --points 21 --t-max 3", 1),
-            ("bounds --model goe --n 64 --krylov-n 10 --points 5 --t-max 1 --band", 1),
-            ("snapshots --model ising --n 6 --times 0,1,2", 1),
+            ("regimes --model ising --n 6 --points 21 --t-max 3", 0),
+            ("bounds --model goe --n 64 --krylov-n 10 --points 5 --t-max 1 --band", 0),
+            ("snapshots --model ising --n 6 --times 0,1,2", 0),
             ("evolve --model ising --n 6 --t-final 5", 1),
             ("evolve --model ising --n 6 --t-final 5 --oracle-cap 32", 0),
         ],

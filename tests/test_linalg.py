@@ -1,5 +1,6 @@
-"""Core kernel: tridiagonal spectra, propagators, dense oracle."""
+"""Core kernel: tridiagonal spectra, propagators, the dense and Chebyshev oracles."""
 
+import math
 import sys
 import threading
 import tracemalloc
@@ -7,14 +8,21 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.special import jv
 
-from krylov_echo import estimators
-from krylov_echo.estimators import oracle_infidelities
+from conftest import eigh_evolution, infidelity_allowance, ising_dense_oracle
+from krylov_echo import linalg
+from krylov_echo.estimators import _exact_propagator, oracle_infidelities
 from krylov_echo.lanczos import lanczos_iterate
 from krylov_echo.linalg import (
+    _CHEB_TAIL,
     DenseOperator,
     LinearOperator,
     SymmetricTridiagonal,
+    _bessel_coefficients,
+    _chebyshev_error,
+    _chebyshev_terms,
+    _ChebyshevPropagator,
     _end_states,
     basis_state,
     eig_sym_tridiagonal,
@@ -22,6 +30,8 @@ from krylov_echo.linalg import (
 )
 from krylov_echo.models import IsingParams, goe_sample, gue_sample, ising_operator, random_state
 from krylov_echo.propagator import krylov_evolve, true_infidelity
+
+UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 
 
 def random_tridiagonal(n, rng):
@@ -151,6 +161,142 @@ MODELS = {
     "goe": lambda: goe_sample(256, 5),
     "gue": lambda: gue_sample(256, 6),
 }
+# Their dense matrices, built on the test side.
+DENSE = {
+    "ising": lambda: ising_dense_oracle(IsingParams(8)),
+    "goe": lambda: goe_sample(256, 5).matrix,
+    "gue": lambda: gue_sample(256, 6).matrix,
+}
+
+
+class CountingOperator(DenseOperator):
+    """A dense operator that counts its applies."""
+
+    applies = 0
+
+    def apply(self, vec):
+        self.applies += 1
+        return super().apply(vec)
+
+
+class TestChebyshevPropagator:
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_within_stated_bound_of_eigh_reference(self, name):
+        ham = MODELS[name]()
+        basis = lanczos_iterate(ham, random_state(ham.dim, 7), 30)
+        psi = basis.vectors[0]
+        prop = _exact_propagator(basis, ham)
+        radius = prop.radius
+        # Scaled times r t up to 700, about 1000 terms, in one block.
+        ts = np.array([0.05, 0.5, 5.0, 50.0, 200.0, 700.0]) / radius
+        states = prop(ts)
+        assert prop.radius == radius
+        assert _chebyshev_terms(700.0) > 900
+        reference = eigh_evolution(DENSE[name]())
+        for t, state in zip(ts, states):
+            bound = _chebyshev_error((abs(prop.centre) + prop.radius) * t)
+            assert np.linalg.norm(state - reference(psi, t)) <= bound
+
+    def test_rows_at_zero_are_the_start_state_bit_for_bit(self):
+        ham = MODELS["gue"]()
+        basis = lanczos_iterate(ham, random_state(ham.dim, 7), 20)
+        states = _exact_propagator(basis, ham)(np.array([0.0, 0.7, -0.0, 0.0]))
+        for row in (0, 2, 3):
+            assert np.array_equal(states[row], basis.vectors[0])
+        assert not np.array_equal(states[1], basis.vectors[0])
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_narrowed_interval_is_widened(self, name):
+        ham = MODELS[name]()
+        basis = lanczos_iterate(ham, random_state(ham.dim, 7), 30)
+        psi = basis.vectors[0]
+        ritz = basis.tridiag.eigen().eigenvalues
+        centre, half = 0.5 * (ritz[0] + ritz[-1]), 0.5 * (ritz[-1] - ritz[0])
+        # The Ritz interval shrunk by 20 % about its centre.
+        prop = _ChebyshevPropagator(ham, psi, centre - 0.8 * half, centre + 0.8 * half)
+        narrow = prop.radius
+        ts = np.array([0.1, 1.0, 10.0])
+        states = prop(ts)
+        assert prop.radius > narrow
+        reference = eigh_evolution(DENSE[name]())
+        for t, state in zip(ts, states):
+            bound = _chebyshev_error((abs(prop.centre) + prop.radius) * t)
+            assert np.linalg.norm(state - reference(psi, t)) <= bound
+        # The widened radius is kept: a later block runs at once.
+        assert np.linalg.norm(prop(ts[-1:])[0] - states[-1]) <= 2 * bound
+
+    def test_eigenvector_start_evolves_exactly(self):
+        op = CountingOperator(np.diag([1.0, 2.0, 3.0]))
+        psi = basis_state(3)
+        basis = lanczos_iterate(op, psi, 2)
+        assert basis.breakdown and basis.size == 1
+        applies = op.applies
+        ts = np.array([0.0, 0.5, 7.0, 1e3])
+        states = _exact_propagator(basis, op)(ts)
+        assert np.array_equal(states, np.exp(-1j * ts)[:, None] * psi)
+        assert np.array_equal(states, krylov_evolve(basis, ts))
+        # Only the residual form's rounding of |phase|^2 is left.
+        assert oracle_infidelities(basis, op, ts).max() <= 1e-31
+        assert op.applies == applies
+
+    def test_one_vector_basis_without_breakdown_is_checked(self):
+        # Width 0 but a nonzero residual: the interval is the Ritz value plus
+        # or minus that coupling, and the moments check it.
+        ham = MODELS["goe"]()
+        basis = lanczos_iterate(ham, random_state(ham.dim, 7), 1)
+        assert basis.size == 1 and not basis.breakdown
+        prop = _exact_propagator(basis, ham)
+        t = 0.3
+        state = prop(t)[0]
+        bound = _chebyshev_error((abs(prop.centre) + prop.radius) * t)
+        assert np.linalg.norm(state - eigh_evolution(DENSE["goe"]())(basis.vectors[0], t)) <= bound
+
+    @pytest.mark.parametrize("bad", [[0.0, np.nan], [np.inf], [1.0, -np.inf], [[1.0]]])
+    def test_bad_times_raise_before_any_apply(self, bad):
+        op = CountingOperator(goe_sample(16, 1).matrix)
+        basis = lanczos_iterate(op, random_state(16, 2), 4)
+        applies = op.applies
+        prop = _exact_propagator(basis, op)
+        for call in (prop, lambda t: oracle_infidelities(basis, op, t)):
+            with pytest.raises(ValueError, match="finite|1-D"):
+                call(bad)
+        assert op.applies == applies
+
+    @pytest.mark.parametrize("tau", [1e-3, 0.3, 2.0, 10.0, 50.0, 700.0, 2000.0])
+    def test_terms_are_the_first_to_meet_the_tail_bound(self, tau):
+        def tail_bound(k):
+            # 4 (tau/2)^(k+1) / (k+1)!, valid once k + 2 >= tau.
+            return 4 * math.exp((k + 1) * math.log(tau / 2) - math.lgamma(k + 2))
+
+        terms = _chebyshev_terms(tau)
+        assert terms + 2 >= tau and tail_bound(terms) <= _CHEB_TAIL
+        assert terms == 0 or terms + 1 < tau or tail_bound(terms - 1) > _CHEB_TAIL
+        discarded = 2 * np.abs(jv(np.arange(terms + 1, terms + 200), tau)).sum()
+        assert discarded <= _CHEB_TAIL
+
+    def test_coefficients_are_bessel_values(self):
+        taus = np.array([0.0, 1e-3, 0.3, 7.0, -7.0, 120.0, 700.0])
+        terms = _chebyshev_terms(700.0)
+        coeffs = _bessel_coefficients(taus, terms)
+        k = np.arange(terms + 1)
+        for tau, row in zip(taus, coeffs):
+            expected = np.where(k == 0, 1.0, 2.0) * jv(k, tau)
+            assert np.abs(row - expected).max() <= 8 * UNIT_ROUNDOFF * (1 + abs(tau))
+        # No terms past the first: J_0(0) = 1 exactly.
+        assert np.array_equal(_bessel_coefficients(np.zeros(2), 0), np.ones((2, 1)))
+
+    def test_coefficient_work_arrays_stay_within_a_block(self):
+        # A block of 64 times at r t up to 2000: the FFT work arrays of all
+        # rows at once would take about 50 MB.
+        taus = np.linspace(0.0, 2000.0, 64)
+        terms = _chebyshev_terms(2000.0)
+        tracemalloc.start()
+        try:
+            coeffs = _bessel_coefficients(taus, terms)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= coeffs.nbytes + 2 * linalg._ORACLE_BLOCK_BYTES
 
 
 class TestDenseOracle:
@@ -185,20 +331,25 @@ class TestDenseOracle:
         assert np.abs(exact_evolve_dense(ham, psi, 0.0) - psi).max() <= 1e-14
 
         blocks = []
+        call = _ChebyshevPropagator.__call__
 
-        def counting_oracle(*args, **kwargs):
-            blocks.append(args[2])
-            return exact_evolve_dense(*args, **kwargs)
+        def counting_kernel(self, t):
+            blocks.append(np.asarray(t))
+            return call(self, t)
 
         basis = lanczos_iterate(ham, psi, 12)
-        monkeypatch.setattr(estimators, "exact_evolve_dense", counting_oracle)
+        monkeypatch.setattr(_ChebyshevPropagator, "__call__", counting_kernel)
         batched = oracle_infidelities(basis, ham, ts)
         assert len(blocks) > 2
         assert np.array_equal(np.concatenate(blocks), ts)
-        per_time = [
-            true_infidelity(krylov_evolve(basis, t), exact_evolve_dense(ham, psi, t)) for t in ts
-        ]
-        assert np.abs(batched - per_time).max() <= 1e-14
+        # Per time against the test-side eigh state, within the kernel's stated
+        # bound for each of the two states, on the Ritz radius the kernel kept.
+        exact = _exact_propagator(basis, ham)
+        reference = eigh_evolution(DENSE[name]())
+        for t, value in zip(ts, batched):
+            per_time = true_infidelity(krylov_evolve(basis, t), reference(basis.vectors[0], t))
+            delta = 2 * _chebyshev_error((abs(exact.centre) + exact.radius) * t)
+            assert abs(value - per_time) <= infidelity_allowance(per_time, delta)
         assert batched[0] <= 1e-28
 
     @pytest.mark.parametrize("name", sorted(MODELS))
@@ -214,7 +365,6 @@ class TestDenseOracle:
         ham = ising_operator(IsingParams(10))
         psi = random_state(ham.dim, 1)
         basis = lanczos_iterate(ham, psi, 30)
-        ham.dense_eigh()
         ts = np.linspace(0.0, 6.0, 481)
         tracemalloc.start()
         try:
@@ -234,6 +384,14 @@ class TestDenseOracle:
         with pytest.raises(ValueError, match="1-D"):
             oracle_infidelities(basis, ham, np.zeros((2, 2)))
         assert ham._dense_eigh is None
+
+    def test_oracle_cap_refused_before_any_work(self):
+        op = CountingOperator(goe_sample(16, 1).matrix)
+        basis = lanczos_iterate(op, random_state(16, 2), 4)
+        applies = op.applies
+        with pytest.raises(ValueError, match="dense oracle refused: dimension 16 exceeds cap 8"):
+            oracle_infidelities(basis, op, [np.nan], cap=8)
+        assert op.applies == applies and op._dense_eigh is None
 
 
 class MatrixFreeOperator(LinearOperator):
