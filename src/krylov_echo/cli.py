@@ -222,7 +222,7 @@ def build_model(cfg: ExperimentConfig, oracle: bool = False) -> tuple[LinearOper
     dim = cfg.n if params is None else params.dim
     if oracle and dim > cfg.oracle_cap:
         raise ValueError(
-            f"this experiment needs the dense oracle, but dimension {dim} exceeds "
+            f"this experiment needs an exact oracle, but dimension {dim} exceeds "
             f"oracle_cap {cfg.oracle_cap}"
         )
     if cfg.model == "ising":

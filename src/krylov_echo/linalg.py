@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.blas import dgemm
+from scipy.linalg.blas import dgemm, dsymv
 
 __all__ = [
     "DEFAULT_ORACLE_CAP",
@@ -36,6 +36,10 @@ __all__ = [
 DEFAULT_ORACLE_CAP = 4096
 # Size of one block of exact states the oracle forms at once.
 _ORACLE_BLOCK_BYTES = 1 << 20
+# Rows per panel in which the ensemble samplers symmetrize a draw and
+# _check_hermitian compares a matrix with its adjoint, so that neither holds
+# a second matrix.
+_PANEL = 128
 # The Chebyshev propagator keeps terms until the Bessel tail bound puts the
 # discarded part of a unit state below _CHEB_TAIL, samples its coefficients
 # at _CHEB_EXTRA_NODES nodes beyond the kept terms, streams the moments into
@@ -288,7 +292,17 @@ class LinearOperator:
 
 
 class DenseOperator(LinearOperator):
-    """Hermitian operator backed by an explicit matrix, stored float64 when every entry is real."""
+    """Hermitian operator backed by an explicit matrix, stored float64 when every entry is real.
+
+    A float64 matrix is applied from its lower triangle alone: two BLAS
+    ``dsymv`` calls, on the real and the imaginary part of the vector, each
+    reading the matrix once. The operator is therefore the symmetric matrix
+    ``tril(A) + tril(A, -1).T``, the same triangle ``np.linalg.eigh`` reads
+    (``UPLO='L'``) in :meth:`dense_eigh`, so the apply and the dense oracle
+    see one operator; the two differ from ``A`` only within the ``1e-12``
+    relative asymmetry the construction check allows. A complex matrix keeps
+    its full product: ``zhemv`` measured slower than it at D=1024.
+    """
 
     def __init__(self, matrix: np.ndarray):
         matrix = np.asarray(matrix)
@@ -305,25 +319,45 @@ class DenseOperator(LinearOperator):
         vec = np.asarray(vec, dtype=np.complex128)
         if vec.shape != (self.dim,):
             raise ValueError(f"vector shape {vec.shape} does not match dim {self.dim}")
-        return _matmul(self.matrix, vec[:, None])[:, 0]
+        if self.matrix.dtype != np.float64:
+            return (self.matrix @ vec[:, None])[:, 0]
+        # The wrapper passes the F-contiguous view uncopied, and reads its
+        # upper triangle, the matrix's lower one. It copies each strided part
+        # of the vector to a contiguous one, on which dsymv runs about four
+        # times faster than on the stride-2 float64 view.
+        lower = self.matrix.T
+        out = np.empty_like(vec)
+        out.real = dsymv(1.0, lower, vec.real)
+        out.imag = dsymv(1.0, lower, vec.imag)
+        return out
 
     def to_dense(self) -> np.ndarray:
         return self.matrix
 
 
 def _check_hermitian(matrix: np.ndarray) -> None:
-    """Reject non-finite or non-Hermitian matrices, in one scratch matrix.
+    """Reject non-finite or non-Hermitian matrices: ``max|A - A^dagger| <= 1e-12 max|A|``.
 
-    The scratch holds ``|A|`` for the scale, then ``|A - A^dagger|``, so the
-    check costs one matrix of memory, not one per temporary.
+    The rule is checked over the whole matrix one panel of ``_PANEL`` rows
+    at a time, against the matching panel of columns, in one panel-sized
+    scratch, so the check never holds a second matrix. Every panel's
+    ``max|A|`` is tested for NaN and inf as it is read, before any verdict
+    on symmetry.
     """
-    scratch = np.empty_like(matrix, dtype=np.result_type(matrix, float))
-    scale = float(np.abs(matrix, out=scratch).real.max()) or 1.0
-    if not np.isfinite(scale):
-        raise ValueError("matrix has NaN or inf entries")
-    np.conjugate(matrix.T, out=scratch)
-    np.subtract(matrix, scratch, out=scratch)
-    if float(np.abs(scratch, out=scratch).real.max()) > 1e-12 * scale:
+    dim = matrix.shape[0]
+    scratch = np.empty((min(_PANEL, dim), dim), dtype=np.result_type(matrix, float))
+    scale = asymmetry = 0.0
+    for start in range(0, dim, _PANEL):
+        rows = matrix[start : start + _PANEL]
+        diff = scratch[: rows.shape[0]]
+        panel_scale = float(np.abs(rows, out=diff).real.max())
+        if not np.isfinite(panel_scale):
+            raise ValueError("matrix has NaN or inf entries")
+        np.conjugate(matrix[:, start : start + _PANEL].T, out=diff)
+        np.subtract(rows, diff, out=diff)
+        scale = max(scale, panel_scale)
+        asymmetry = max(asymmetry, float(np.abs(diff, out=diff).real.max()))
+    if asymmetry > 1e-12 * (scale or 1.0):
         raise ValueError("matrix is not Hermitian")
 
 
@@ -331,7 +365,7 @@ def _check_oracle_cap(dim: int, cap: int) -> None:
     """Refuse an oracle above ``cap``: oracles exist for verification, not production evolution."""
     if dim > cap:
         raise ValueError(
-            f"dense oracle refused: dimension {dim} exceeds cap {cap}; "
+            f"exact oracle refused: dimension {dim} exceeds cap {cap}; "
             "the oracle exists for verification, not production evolution"
         )
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DenseOperator, LinearOperator
+from .linalg import _PANEL, DenseOperator, LinearOperator
 
 __all__ = [
     "IsingOperator",
@@ -187,29 +187,56 @@ def _check_ensemble_dim(dim: int) -> None:
         raise ValueError(f"ensemble dimension {dim} exceeds cap {MAX_ENSEMBLE_DIM}")
 
 
+def _symmetrize(g: np.ndarray) -> None:
+    """``g = (g + g^dagger)/2`` in place, one pair of ``_PANEL`` blocks at a time.
+
+    For each block ``(I, J)`` on or above the diagonal, ``s = g[I,J] +
+    g[J,I]^dagger`` is written to ``g[J,I]`` as ``s^dagger`` and then to
+    ``g[I,J]``, so a diagonal block keeps ``s`` (and ``+0`` imaginary parts on
+    its diagonal), and the whole matrix is halved at the end. Addition
+    commutes exactly and conjugation is exact, so the result is bit for bit
+    the textbook formula, while no second matrix is held.
+    """
+    dim = g.shape[0]
+    for i in range(0, dim, _PANEL):
+        rows = slice(i, i + _PANEL)
+        for j in range(i, dim, _PANEL):
+            cols = slice(j, j + _PANEL)
+            s = np.conjugate(g[cols, rows].T)
+            s += g[rows, cols]
+            g[cols, rows] = np.conjugate(s.T)
+            g[rows, cols] = s
+    g /= 2.0
+
+
 def goe_sample(dim: int, seed: int) -> DenseOperator:
-    """Real symmetric (G + G^T)/2 with standard normal G; deterministic per seed."""
+    """Real symmetric (G + G^T)/2 with standard normal G; deterministic per seed.
+
+    The draw is symmetrized in place (:func:`_symmetrize`) and checked in
+    panels, so building the sample holds one matrix plus a panel: about
+    9.5 MB at D=1024.
+    """
     _check_ensemble_dim(dim)
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((dim, dim))
-    sym = g + g.T
-    del g  # hold at most two matrices at once
-    sym /= 2.0
-    return DenseOperator(sym)
+    g = np.random.default_rng(seed).standard_normal((dim, dim))
+    _symmetrize(g)
+    return DenseOperator(g)
 
 
 def gue_sample(dim: int, seed: int) -> DenseOperator:
-    """Hermitian (G + G^dagger)/2 with complex standard normal G."""
+    """Hermitian (G + G^dagger)/2 with complex standard normal G.
+
+    The real parts are drawn before the imaginary parts, each in panels of
+    rows written straight into the complex matrix, which is then
+    symmetrized in place; construction holds one matrix plus a panel.
+    """
     _check_ensemble_dim(dim)
     rng = np.random.default_rng(seed)
     g = np.empty((dim, dim), dtype=np.complex128)
-    g.real = rng.standard_normal((dim, dim))
-    g.imag = rng.standard_normal((dim, dim))
-    herm = np.conjugate(g.T, order="C")
-    herm += g
-    del g  # hold at most two matrices at once
-    herm /= 2.0
-    return DenseOperator(herm)
+    for part in (g.real, g.imag):
+        for start in range(0, dim, _PANEL):
+            part[start : start + _PANEL] = rng.standard_normal((min(_PANEL, dim - start), dim))
+    _symmetrize(g)
+    return DenseOperator(g)
 
 
 def random_state(dim: int, seed: int) -> np.ndarray:

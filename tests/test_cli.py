@@ -288,7 +288,7 @@ class TestRegimesCommand:
         assert rc == 1
         err = capsys.readouterr().err
         assert (
-            f"this experiment needs the dense oracle, but dimension {dim} exceeds oracle_cap 2048"
+            f"this experiment needs an exact oracle, but dimension {dim} exceeds oracle_cap 2048"
             in err
         )
         assert not out.exists()

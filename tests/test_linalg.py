@@ -12,6 +12,7 @@ from scipy.special import jv
 
 from conftest import eigh_evolution, infidelity_allowance, ising_dense_oracle
 from krylov_echo import linalg
+from krylov_echo.cli import ExperimentConfig, build_model
 from krylov_echo.estimators import _exact_propagator, oracle_infidelities
 from krylov_echo.lanczos import lanczos_iterate
 from krylov_echo.linalg import (
@@ -389,7 +390,7 @@ class TestDenseOracle:
         op = CountingOperator(goe_sample(16, 1).matrix)
         basis = lanczos_iterate(op, random_state(16, 2), 4)
         applies = op.applies
-        with pytest.raises(ValueError, match="dense oracle refused: dimension 16 exceeds cap 8"):
+        with pytest.raises(ValueError, match="exact oracle refused: dimension 16 exceeds cap 8"):
             oracle_infidelities(basis, op, [np.nan], cap=8)
         assert op.applies == applies and op._dense_eigh is None
 
@@ -516,6 +517,61 @@ class TestOperators:
         op = DenseOperator((g + g.T) / 2)
         v = rng.standard_normal(6) + 1j * rng.standard_normal(6)
         assert np.allclose(op.to_dense() @ v, op.apply(v), atol=1e-14)
+
+    @pytest.mark.parametrize("model", ["goe", "toeplitz"])
+    def test_real_apply_matches_the_full_product(self, model):
+        op, _ = build_model(ExperimentConfig(command="bounds", model=model, n=1024, seed=1))
+        assert op.matrix.dtype == np.float64
+        v = random_state(1024, 2)
+        expected = (op.matrix @ v.real) + 1j * (op.matrix @ v.imag)
+        scale = np.abs(op.matrix).sum(axis=1).max()
+        assert np.abs(op.apply(v) - expected).max() <= 64 * UNIT_ROUNDOFF * scale
+
+    def test_real_apply_is_the_lower_triangle_operator(self, rng):
+        # Hermitian only to about 1e-13: the upper triangle carries noise the
+        # lower one does not, and the apply must read the lower one alone.
+        dim = 64
+        g = rng.standard_normal((dim, dim))
+        sym = (g + g.T) / 2.0
+        noise = np.triu(rng.uniform(0.5, 1.0, (dim, dim)), 1) * 1e-13 * np.abs(sym).max()
+        matrix = sym + noise
+        lower = np.tril(matrix) + np.tril(matrix, -1).T
+        assert np.array_equal(lower, sym)
+        v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        out = DenseOperator(matrix).apply(v)
+        expected = lower @ v.real + 1j * (lower @ v.imag)
+        error = np.abs(out - expected).max()
+        assert error <= 1e-14
+        assert np.abs((matrix @ v.real + 1j * (matrix @ v.imag)) - expected).max() > 100 * error
+
+    @pytest.mark.parametrize("sample", [goe_sample, gue_sample])
+    @pytest.mark.parametrize("dim", [100, 130])
+    @pytest.mark.parametrize(
+        "defect, message",
+        [
+            ("nan", "NaN or inf"),
+            ("inf", "NaN or inf"),
+            ("asymmetry", "not Hermitian"),
+            ("asymmetry_then_nan", "NaN or inf"),
+        ],
+    )
+    def test_check_reads_the_last_partial_panel(self, sample, dim, defect, message):
+        # Each defect sits where only the last panel of rows reads it: rows and
+        # columns dim-2 and dim-1 (128 and 129 at dim=130, past one full panel).
+        assert dim % linalg._PANEL != 0
+        matrix = sample(dim, 1).matrix.copy()
+        if defect == "nan":
+            matrix[-1, -1] = np.nan
+        elif defect == "inf":
+            matrix[-1, -2] = matrix[-2, -1] = np.inf
+        else:
+            matrix[-1, -2] += 1e-9 * np.abs(matrix).max()
+        if defect == "asymmetry_then_nan":
+            # An asymmetry in the first panel must not hide a NaN in the last.
+            matrix[0, 1] += 1.0
+            matrix[-1, -1] = np.nan
+        with pytest.raises(ValueError, match=message):
+            DenseOperator(matrix)
 
 
 class TestSymmetricTridiagonal:

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import hermiticity_defect, ising_dense_oracle
 
-from krylov_echo.linalg import LinearOperator, basis_state
+from krylov_echo.linalg import _PANEL, LinearOperator, basis_state
 from krylov_echo.models import (
     IsingOperator,
     IsingParams,
@@ -216,24 +216,27 @@ class TestEnsembles:
         assert np.array_equal(a.matrix, b.matrix)
 
     def test_samples_match_the_textbook_formula_bit_for_bit(self):
-        rng = np.random.default_rng(9)
-        g = rng.standard_normal((48, 48))
-        assert goe_sample(48, 9).matrix.tobytes() == ((g + g.T) / 2.0).tobytes()
-        rng = np.random.default_rng(9)
-        g = rng.standard_normal((48, 48)) + 1j * rng.standard_normal((48, 48))
-        assert gue_sample(48, 9).matrix.tobytes() == ((g + g.conj().T) / 2.0).tobytes()
+        # Within one panel (48, 100) and past one (130); none fills its last panel.
+        for dim in (48, 100, 130):
+            rng = np.random.default_rng(9)
+            g = rng.standard_normal((dim, dim))
+            assert goe_sample(dim, 9).matrix.tobytes() == ((g + g.T) / 2.0).tobytes()
+            rng = np.random.default_rng(9)
+            g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            assert gue_sample(dim, 9).matrix.tobytes() == ((g + g.conj().T) / 2.0).tobytes()
 
     @pytest.mark.parametrize("sample, itemsize", [(goe_sample, 8), (gue_sample, 16)])
-    def test_construction_peak_is_two_matrices(self, sample, itemsize):
-        dim = 256
+    def test_construction_peak_is_one_matrix_and_a_panel(self, sample, itemsize):
+        dim = 1024
         tracemalloc.start()
         try:
             sample(dim, 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # The sample plus one draw or check buffer; no full-size temporaries.
-        assert peak <= 2.25 * dim * dim * itemsize
+        # The sample plus the check's one panel of rows, and a quarter panel
+        # for the symmetrizing blocks and the draw; no second matrix.
+        assert peak <= (dim + 1.25 * _PANEL) * dim * itemsize
 
     def test_goe_exactly_symmetric(self):
         mat = goe_sample(64, 1).matrix
