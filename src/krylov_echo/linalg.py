@@ -13,8 +13,6 @@ of ``apply`` on a spectral interval (:class:`_ChebyshevPropagator`).
 from __future__ import annotations
 
 import math
-import threading
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,11 +51,6 @@ _CHEB_EXTRA_NODES = 32
 _CHEB_CHUNK = 32
 _CHEB_NORM_RTOL = 1e-12
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
-# The one worker thread that solves dense eigendecompositions (started on
-# the first submit, not at import), and the lock that makes one submit per
-# operator.
-_SOLVER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="dense-eigh")
-_SUBMIT = threading.Lock()
 
 
 def basis_state(dim: int, index: int = 0) -> np.ndarray:
@@ -233,28 +226,24 @@ class LinearOperator:
     """Hermitian operator of dimension ``dim`` with an apply-to-vector contract.
 
     Subclasses implement :meth:`apply`. The operator must be linear and
-    Hermitian; shared state is read-only after construction, so concurrent
-    applies on distinct vectors are safe. The caller owns what ``apply``
-    returns: the Lanczos step and the Chebyshev propagator overwrite it.
+    Hermitian; shared state is read-only after construction. The caller
+    owns what ``apply`` returns: the Lanczos step and the Chebyshev
+    propagator overwrite it.
     The Chebyshev propagator, the oracle of the ``regimes``, ``bounds`` and
     ``snapshots`` commands, needs ``apply`` alone. ``to_dense``/``dense_eigh``
     exist for the dense oracle, :func:`exact_evolve_dense`, which the
     ``evolve`` command and the tests use at modest dimensions; only
     ``dense_eigh`` memoizes, and a subclass changes how it solves through
-    the ``_eigh`` hook. The solve
-    runs on one worker thread: :meth:`start_dense_eigh` submits it without
-    waiting, so a caller can do its own work meanwhile, and
-    :meth:`dense_eigh` waits for it. The worker runs ``_eigh`` alone, which
-    the base class builds from ``apply`` (so it may run beside the caller's
-    applies). A real operator stays real there: its dense form is float64
-    and so are its eigenvectors.
+    the ``_eigh`` hook, which the base class builds from ``apply``. A real
+    operator stays real there: its dense form is float64 and so are its
+    eigenvectors.
     """
 
     def __init__(self, dim: int):
         if dim < 1:
             raise ValueError("operator dimension must be >= 1")
         self.dim = int(dim)
-        self._dense_eigh: Future | None = None
+        self._dense_eigh: tuple[np.ndarray, np.ndarray] | None = None
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -264,27 +253,17 @@ class LinearOperator:
         dense = np.column_stack([self.apply(basis_state(self.dim, j)) for j in range(self.dim)])
         return dense if dense.imag.any() else dense.real.copy()
 
-    def start_dense_eigh(self) -> Future:
-        """Submit :meth:`_eigh` to the worker thread once, without waiting; the memo's future.
-
-        The worker is not a daemon: a process exits only once a submitted
-        solve is done, even if nothing reads it.
-        """
-        with _SUBMIT:
-            if self._dense_eigh is None:
-                self._dense_eigh = _SOLVER.submit(self._eigh)
-        return self._dense_eigh
-
     def dense_eigh(self) -> tuple[np.ndarray, np.ndarray]:
         """Cached ascending eigenvalues and orthonormal eigenvectors (columns) of the dense form.
 
-        The one memoized entry point: it starts :meth:`_eigh` once, if
-        :meth:`start_dense_eigh` has not, then waits for it and re-raises
-        whatever it raised. An all-real dense form gets float64
-        eigenvectors; only a matrix with a nonzero imaginary part gets
-        complex128 ones.
+        The one memoized entry point: its first call runs :meth:`_eigh` on
+        the calling thread and keeps the result; a call whose solve raises
+        keeps nothing. An all-real dense form gets float64 eigenvectors;
+        only a matrix with a nonzero imaginary part gets complex128 ones.
         """
-        return self.start_dense_eigh().result()
+        if self._dense_eigh is None:
+            self._dense_eigh = self._eigh()
+        return self._dense_eigh
 
     def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
         """Uncached eigendecomposition of the dense form: the hook a subclass overrides."""

@@ -1,7 +1,6 @@
 """Core kernel: tridiagonal spectra, propagators, the dense and Chebyshev oracles."""
 
 import math
-import sys
 import threading
 import tracemalloc
 
@@ -396,62 +395,34 @@ class TestDenseOracle:
 
 
 class MatrixFreeOperator(LinearOperator):
-    """Defines ``apply`` alone, so the base ``to_dense`` builds the dense form from applies.
-
-    The worker's first apply waits for the caller's fifth, and the caller's
-    sixth for the worker's first, so the two threads' applies interleave.
-    """
+    """Defines ``apply`` alone, so the base ``to_dense`` builds the dense form from applies."""
 
     def __init__(self, matrix):
         super().__init__(matrix.shape[0])
         self.matrix = matrix
-        self.caller_applies = 0
-        self.caller_ready, self.worker_started = threading.Event(), threading.Event()
 
     def apply(self, vec):
-        if threading.current_thread() is threading.main_thread():
-            self.caller_applies += 1
-            if self.caller_applies == 5:
-                self.caller_ready.set()
-            elif self.caller_applies == 6 and not self.worker_started.wait(10):
-                raise TimeoutError("the worker never applied")
-        else:
-            self.worker_started.set()
-            if not self.caller_ready.wait(10):
-                raise TimeoutError("the caller never applied")
         return self.matrix @ vec
 
 
-class TestDenseSolveWorker:
-    def test_solve_beside_lanczos_matches_sequential_run(self):
-        # Concurrent applies on distinct vectors are safe: the worker's
-        # to_dense and the caller's Lanczos run give what they give alone.
-        matrix = gue_sample(96, 3).matrix
-        psi = random_state(96, 4)
-        alone = MatrixFreeOperator(matrix)
-        alone.caller_ready.set()
-        alone.worker_started.set()
-        expected = lanczos_iterate(alone, psi, 30)
-        expected_evals, expected_evecs = alone.dense_eigh()
-
+class TestDenseEigh:
+    @pytest.mark.parametrize(
+        "sample, dtype", [(goe_sample, np.float64), (gue_sample, np.complex128)], ids=["goe", "gue"]
+    )
+    def test_base_dense_form_built_from_applies(self, sample, dtype):
+        matrix = sample(24, 3).matrix
         op = MatrixFreeOperator(matrix)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            future = op.start_dense_eigh()
-            basis = lanczos_iterate(op, psi, 30)
-            evals, evecs = op.dense_eigh()
-        finally:
-            sys.setswitchinterval(interval)
-        assert future.done() and op.worker_started.is_set()
-        assert np.array_equal(basis.vectors, expected.vectors)
-        assert np.array_equal(basis.tridiag.diag, expected.tridiag.diag)
-        assert np.array_equal(basis.tridiag.offdiag, expected.tridiag.offdiag)
-        assert basis.residual_beta == expected.residual_beta
-        assert np.array_equal(evals, expected_evals)
-        assert np.array_equal(evecs, expected_evecs)
+        dense = op.to_dense()
+        assert dense.dtype == dtype
+        assert np.abs(dense - matrix).max() <= 1e-14
+        evals, evecs = op.dense_eigh()
+        ref_evals, ref_evecs = np.linalg.eigh(matrix)
+        assert evecs.dtype == dtype
+        assert np.abs(evals - ref_evals).max() <= 1e-12
+        # Distinct eigenvalues: each eigenvector is the reference one up to a phase.
+        assert np.abs(np.abs(np.vecdot(ref_evecs, evecs, axis=0)) - 1.0).max() <= 1e-12
 
-    def test_solve_runs_once_on_the_worker(self, monkeypatch):
+    def test_solve_runs_once_on_the_calling_thread(self, monkeypatch):
         threads = []
         eigh = LinearOperator._eigh
 
@@ -461,10 +432,9 @@ class TestDenseSolveWorker:
 
         monkeypatch.setattr(LinearOperator, "_eigh", recording)
         op = goe_sample(32, 1)
-        assert op.start_dense_eigh() is op.start_dense_eigh()
         first = op.dense_eigh()
         assert op.dense_eigh() is first
-        assert len(threads) == 1 and threads[0] is not threading.main_thread()
+        assert threads == [threading.main_thread()]
 
     def test_solve_error_raised_by_dense_eigh(self):
         class Failing(LinearOperator):
@@ -472,10 +442,10 @@ class TestDenseSolveWorker:
                 raise np.linalg.LinAlgError("eigenvalues did not converge")
 
         op = Failing(4)
-        op.start_dense_eigh()
         for _ in range(2):
             with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
                 op.dense_eigh()
+        assert op._dense_eigh is None
 
 
 class TestOperators:
