@@ -1,11 +1,16 @@
 """CLI harness: config handling, CSV outputs, state files, exit codes."""
 
 import argparse
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import krylov_echo
 from conftest import infidelity_allowance
 from krylov_echo import cli
 from krylov_echo.cli import (
@@ -838,16 +843,39 @@ class TestMainEntry:
         comments, _, _ = read_csv(out)
         assert {key: comments[key] for key in echoed} == echoed
 
-    def test_failing_evolve_never_solves_the_oracle(self, tmp_path, monkeypatch, capsys):
-        # The estimate exceeds its budget at the minimum step, so the
-        # stepper fails before the oracle is needed.
+    # A failure before the oracle is needed: the estimate exceeds its budget
+    # at the minimum step.
+    UNREACHABLE = "evolve --model ising --n 6 --krylov-n 2 --tol 1e-14 --t-final 5"
+
+    def test_failure_after_the_solve_starts_returns_at_once(self, tmp_path, monkeypatch, capsys):
+        # The failing evolve neither waits for nor runs the oracle solve.
         def never(self):
             raise AssertionError("the oracle was solved for a failing evolution")
 
         monkeypatch.setattr(IsingOperator, "_eigh", never)
-        args = "evolve --model ising --n 6 --krylov-n 2 --tol 1e-14 --t-final 5"
-        assert main(f"{args} --out {tmp_path / 'e.csv'}".split()) == 1
+        assert main(f"{self.UNREACHABLE} --out {tmp_path / 'e.csv'}".split()) == 1
         assert "minimum step" in capsys.readouterr().err
+
+    def test_failing_process_exits_after_the_solve(self, tmp_path):
+        # The whole process exits with the error and leaves no solve behind:
+        # the slow solve is never started.
+        done = tmp_path / "solved"
+        script = (
+            "import sys, time\n"
+            "from krylov_echo import cli, models\n"
+            "def slow(self):\n"
+            "    time.sleep(0.5)\n"
+            f"    open({str(done)!r}, 'w').close()\n"
+            "models.IsingOperator._eigh = slow\n"
+            f"sys.exit(cli.main({self.UNREACHABLE.split()!r} + ['--out', {str(tmp_path / 'e.csv')!r}]))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(krylov_echo.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 1
+        assert "minimum step" in proc.stderr
+        assert not done.exists()
 
     def test_measure_regime_times_shapes(self):
         ts = np.linspace(0, 1, 11)
