@@ -38,6 +38,7 @@ from .linalg import (
     DEFAULT_ORACLE_CAP,
     DenseOperator,
     LinearOperator,
+    _CHEB_RESTART_PHASE,
     SymmetricTridiagonal,
     _chebyshev_error,
     _end_states,
@@ -77,9 +78,10 @@ SUSTAIN_POINTS = 3
 # only where sqrt(eps) >= 20 delta. An oracle that small is met at short
 # times, where the phase (|c| + r) t is at most about 10: a basis of the
 # default 30 sites has an error near ((rt/2)^30 / 30!)^2, which reaches
-# 1e-26 at rt = 9. So delta <= _chebyshev_error(10) = 9.9e-15 there, and the
-# floor is (20 delta)^2 = 3.9e-26.
-ORACLE_FLOOR = (20.0 * _chebyshev_error(10.0)) ** 2
+# 1e-26 at rt = 9. No row below phase _CHEB_RESTART_PHASE = 10 starts from
+# an earlier block's state, so there delta is that of one run from psi, at
+# most _chebyshev_error(10) = 9.9e-15, and the floor is (20 delta)^2 = 3.9e-26.
+ORACLE_FLOOR = (20.0 * _chebyshev_error(_CHEB_RESTART_PHASE)) ** 2
 
 
 # The subcommands that read a shared option: those that build a model, those

@@ -50,6 +50,10 @@ _CHEB_TAIL = 1e-16
 _CHEB_EXTRA_NODES = 32
 _CHEB_CHUNK = 32
 _CHEB_NORM_RTOL = 1e-12
+# A block of times restarts from the last state of the block before only
+# where every time's phase (|c| + r)|t| is at least this; rows at smaller
+# phases are always one run from psi.
+_CHEB_RESTART_PHASE = 10.0
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 
 
@@ -230,13 +234,14 @@ class LinearOperator:
     owns what ``apply`` returns: the Lanczos step and the Chebyshev
     propagator overwrite it.
     The Chebyshev propagator, the oracle of the ``regimes``, ``bounds`` and
-    ``snapshots`` commands, needs ``apply`` alone. ``to_dense``/``dense_eigh``
-    exist for the dense oracle, :func:`exact_evolve_dense`, which the
-    ``evolve`` command and the tests use at modest dimensions; only
-    ``dense_eigh`` memoizes, and a subclass changes how it solves through
-    the ``_eigh`` hook, which the base class builds from ``apply``. A real
-    operator stays real there: its dense form is float64 and so are its
-    eigenvectors.
+    ``snapshots`` commands, needs ``apply`` alone. ``dense_eigh`` exists for
+    the dense oracle, :func:`exact_evolve_dense`, which the ``evolve``
+    command and the tests use at modest dimensions; only it memoizes, and a
+    subclass changes how it solves through the ``_eigh`` hook. The base hook
+    solves ``to_dense``, one ``apply`` per column; the Ising chain overrides
+    it with a sector solve that forms no dense matrix, so its ``to_dense``
+    serves the tests alone. A real operator stays real there: its dense
+    form is float64 and so are its eigenvectors.
     """
 
     def __init__(self, dim: int):
@@ -449,10 +454,17 @@ class _ChebyshevPropagator:
     number of terms from its largest ``r|t|`` (:func:`_chebyshev_terms`) and
     holds its states, one chunk of moments and its coefficients; no
     terms-by-``dim`` array is formed. On ``[-1, 1]`` every ``|T_k| <= 1``, so
-    a moment norm above ``||psi||``, by more than the rounding allowance of
-    ``_CHEB_NORM_RTOL``, shows the spectrum leaving the interval: the radius
-    is doubled, kept for later blocks, and the block rerun. Rows at ``t = 0`` are ``psi`` exactly; the state error
-    is within :func:`_chebyshev_error`.
+    a moment norm above that of the start state, by more than the rounding
+    allowance of ``_CHEB_NORM_RTOL``, shows the spectrum leaving the
+    interval: the radius is doubled, kept for later blocks, and the block
+    rerun. Rows at ``t = 0`` are ``psi`` exactly.
+
+    A block starts from ``psi``, or from the last state of the block before
+    (its anchor) when every time in it has phase ``(|c| + r)|t| >=
+    _CHEB_RESTART_PHASE`` and that start needs fewer terms. A row's stated
+    error, kept in ``errors`` for the rows of the last call, is
+    :func:`_chebyshev_error` of its phase from its start, plus the anchor's
+    stated error when it started there.
     """
 
     def __init__(self, hamiltonian: LinearOperator, psi: np.ndarray, lo: float, hi: float):
@@ -460,29 +472,45 @@ class _ChebyshevPropagator:
         self.psi = psi
         self.centre = 0.5 * (lo + hi)
         self.radius = 0.55 * (hi - lo)
-        self._norm = float(np.linalg.norm(psi))
+        self.errors = np.zeros(0)
+        # The last row returned: its time, its state and its stated error.
+        self._anchor = (0.0, psi, 0.0)
 
     def __call__(self, t) -> np.ndarray:
         """States at the times ``t`` (checked before any apply), as the rows of a (T, dim) array."""
         ts = _times(t)
-        states = self._block(ts)
+        start, span, error = self._start(ts)
+        states = self._block(start, span)
         while states is None:
             self.radius *= 2.0
-            states = self._block(ts)
-        states *= np.exp(-1j * self.centre * ts)[:, None]
+            states = self._block(start, span)
+        states *= np.exp(-1j * self.centre * span)[:, None]
         if np.count_nonzero(ts) < ts.size:
             states[ts == 0.0] = self.psi
+        self.errors = error + _chebyshev_error((abs(self.centre) + self.radius) * np.abs(span))
+        if ts.size:
+            self._anchor = (ts[-1], states[-1].copy(), self.errors[-1])
         return states
 
-    def _block(self, ts: np.ndarray) -> np.ndarray | None:
-        """``sum_k a_k(r t) N_k`` at ``ts``; None when a moment leaves the norm limit."""
+    def _start(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+        """The state a block starts from, its times measured from there, and that state's error."""
+        when, anchor, error = self._anchor
+        span, r = ts - when, self.radius
+        if ts.size and (abs(self.centre) + r) * np.abs(ts).min() >= _CHEB_RESTART_PHASE:
+            if _chebyshev_terms(r * np.abs(span).max()) < _chebyshev_terms(r * np.abs(ts).max()):
+                return anchor, span, error
+        return self.psi, ts, 0.0
+
+    def _block(self, start: np.ndarray, ts: np.ndarray) -> np.ndarray | None:
+        """``sum_k a_k(r t) N_k`` at ``ts`` from ``N_0 = start``; None when a moment leaves the norm limit."""
         terms = _chebyshev_terms(self.radius * float(np.abs(ts).max(initial=0.0)))
         coeffs = _bessel_coefficients(self.radius * ts, terms)
-        states = np.multiply.outer(coeffs[:, 0], self.psi)
+        states = np.multiply.outer(coeffs[:, 0], start)
         # Rows 0 and 1 hold the two moments before the chunk in rows 2 onwards.
-        moments = np.empty((min(_CHEB_CHUNK, terms) + 2, self.psi.size), dtype=np.complex128)
-        moments[1] = self.psi
-        limit = ((1.0 + _CHEB_NORM_RTOL + 8 * terms * _UNIT_ROUNDOFF) * self._norm) ** 2
+        moments = np.empty((min(_CHEB_CHUNK, terms) + 2, start.size), dtype=np.complex128)
+        moments[1] = start
+        norm = float(np.linalg.norm(start))
+        limit = ((1.0 + _CHEB_NORM_RTOL + 8 * terms * _UNIT_ROUNDOFF) * norm) ** 2
         done = 1
         while done <= terms:
             size = min(_CHEB_CHUNK, terms + 1 - done)

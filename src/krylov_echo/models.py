@@ -1,8 +1,8 @@
 """Test Hamiltonians and seeded initial states.
 
-The Ising chain is applied bitwise and built dense only for the oracle;
-the random-matrix ensembles are dense by construction and capped, since
-they exist only to validate estimators. All samplers are pure functions
+The Ising chain is applied bitwise and never built dense, not even for the
+oracle; the random-matrix ensembles are dense by construction and capped,
+since they exist only to validate estimators. All samplers are pure functions
 of (size, seed).
 """
 
@@ -74,7 +74,8 @@ class IsingOperator(LinearOperator):
     matmul on the float64 view of the vector (real and imaginary parts
     alike), so one apply costs O(n 2^n) in about n/3 BLAS passes. The chain
     is unchanged, bit for bit, when its spin order is reversed, so the dense
-    oracle is solved one reflection sector at a time (:meth:`_eigh`).
+    oracle is solved on two reflection-sector blocks written from the flips
+    (:meth:`_eigh`).
     """
 
     def __init__(self, params: IsingParams):
@@ -119,13 +120,6 @@ class IsingOperator(LinearOperator):
         acc += part
         return out
 
-    def to_dense(self) -> np.ndarray:
-        """Real dense form, entry by entry: the diagonal, then ``h_x`` at each bit flip."""
-        dense, idx = np.diag(self._diag_pairs[::2]), np.arange(self.dim)
-        for k in range(self.params.n_spins):
-            dense[idx, idx ^ (1 << k)] += self.params.h_x
-        return dense
-
     def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
         """Eigendecomposition one reflection sector at a time: two real ``eigh`` of about D/2.
 
@@ -133,41 +127,46 @@ class IsingOperator(LinearOperator):
         unchanged, so H splits over the palindromes ``m`` and the pairs
         ``l < rev(l)``: the even sector, on ``|m>`` and ``(|l> + |rev l>)/√2``,
         has size ``(D + 2^ceil(n/2))/2``; the odd one, on ``(|l> - |rev l>)/√2``,
-        the rest. The dense form is freed before the first solve, and each
-        sector's eigenvectors are written into their sorted columns of one
-        D x D float64 array.
+        the rest. Both blocks are written from the diagonal ``d`` and the bit
+        flips, with no D x D matrix: ``l`` and ``rev l`` are an even number of
+        flips apart, so no index neighbours both, and every entry is one of
+        ``d``, ``h_x``, ``-h_x`` and ``√2 h_x``. Each sector's eigenvectors are
+        written into their sorted columns of one D x D float64 array.
         """
-        idx = np.arange(self.dim)
+        n, idx, h_x = self.params.n_spins, np.arange(self.dim), self.params.h_x
         rev = np.zeros_like(idx)
-        for k in range(self.params.n_spins):
-            rev |= ((idx >> k) & 1) << (self.params.n_spins - 1 - k)
-        mid, low = np.flatnonzero(idx == rev), np.flatnonzero(idx < rev)
-        high, split = rev[low], mid.size
-        dense = self.to_dense()
-        odd, cross = dense[np.ix_(low, low)], dense[np.ix_(low, high)]
-        even = np.empty((split + low.size,) * 2)
-        even[:split, :split] = dense[np.ix_(mid, mid)]
-        even[:split, split:] = np.sqrt(2.0) * dense[np.ix_(mid, low)]
-        del dense
-        even[split:, :split] = even[:split, split:].T
-        np.add(odd, cross, out=even[split:, split:])
-        odd -= cross
-        del cross
+        for k in range(n):
+            rev |= ((idx >> k) & 1) << (n - 1 - k)
+        palindrome = idx == rev
+        mid, low = np.flatnonzero(palindrome), np.flatnonzero(idx < rev)
+        high, split, rows = rev[low], mid.size, np.concatenate([mid, low])
+        # Each index's row in the even block; a pair's row in the odd one is split less.
+        row = np.empty_like(idx)
+        row[rows] = np.arange(rows.size)
+        row[high] = row[low]
+        # Signed zeros follow the sums H[l, l'] ± H[l, rev l'], whose absent term
+        # is +0.0: a pair's even diagonal is d + 0.0, a zero h_x is 0.0 - h_x.
+        diag = self._diag_pairs[::2]
+        even, odd = np.diag(np.concatenate([diag[mid], diag[low] + 0.0])), np.diag(diag[low])
+        for k in range(n):
+            cols = rows ^ (1 << k)
+            scale = np.where(palindrome[rows] == palindrome[cols], 1.0, np.sqrt(2.0))
+            even[np.arange(rows.size), row[cols]] = scale * h_x
+            to_pair = ~palindrome[cols[split:]]
+            pairs = cols[split:][to_pair]
+            odd[to_pair, row[pairs] - split] = np.where(rev[pairs] < pairs, 0.0 - h_x, h_x)
         even_vals, even_vecs = np.linalg.eigh(even)
         del even
         odd_vals, odd_vecs = np.linalg.eigh(odd)
         del odd
         evals = np.concatenate([even_vals, odd_vals])
         order = np.argsort(evals, kind="stable")
-        column = np.empty_like(order)
-        column[order] = idx
-        even_cols, odd_cols = column[: even_vals.size], column[even_vals.size :]
+        column = np.argsort(order)
+        even_cols, odd_cols = column[: rows.size], column[rows.size :]
         evecs = np.zeros((self.dim, self.dim))
-        evecs[np.ix_(mid, even_cols)] = even_vecs[:split]
-        pairs = even_vecs[split:]
-        pairs *= np.sqrt(0.5)
-        evecs[np.ix_(low, even_cols)] = pairs
-        evecs[np.ix_(high, even_cols)] = pairs
+        even_vecs[split:] *= np.sqrt(0.5)
+        evecs[np.ix_(rows, even_cols)] = even_vecs
+        evecs[np.ix_(high, even_cols)] = even_vecs[split:]
         odd_vecs *= np.sqrt(0.5)
         evecs[np.ix_(low, odd_cols)] = odd_vecs
         odd_vecs *= -1.0

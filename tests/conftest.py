@@ -8,30 +8,23 @@ import pytest
 from krylov_echo.models import IsingParams
 from krylov_echo.toeplitz import toeplitz_echo
 
-SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
-SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
-ID2 = np.eye(2, dtype=np.complex128)
-
-
-def kron_site(op: np.ndarray, site: int, n_spins: int) -> np.ndarray:
-    """Embed a single-site operator at bit position `site` (LSB = site 0)."""
-    ops = [ID2] * n_spins
-    ops[n_spins - 1 - site] = op
-    out = ops[0]
-    for factor in ops[1:]:
-        out = np.kron(out, factor)
-    return out
+SX = np.array([[0.0, 1.0], [1.0, 0.0]])
+SZ = np.array([[1.0, 0.0], [0.0, -1.0]])
 
 
 def ising_dense_oracle(params: IsingParams) -> np.ndarray:
-    """Independent Kronecker-product construction of the Ising chain."""
-    n = params.n_spins
-    dim = 2**n
-    ham = np.zeros((dim, dim), dtype=np.complex128)
-    for k in range(n):
-        ham += params.h_x * kron_site(SX, k, n) + params.h_z * kron_site(SZ, k, n)
-    for k in range(n - 1):
-        ham -= params.J * kron_site(SZ, k, n) @ kron_site(SZ, k + 1, n)
+    """Independent Kronecker-product construction of the Ising chain, real and dense.
+
+    The chain grows one site at a time as the new highest bit:
+    ``H_{m+1} = I ⊗ H_m + (h_x sx + h_z sz) ⊗ I - J sz ⊗ sz ⊗ I``.
+    """
+    field = params.h_x * SX + params.h_z * SZ
+    ham = field
+    for m in range(1, params.n_spins):
+        rest = np.eye(2 ** (m - 1))
+        ham = np.kron(np.eye(2), ham)
+        ham += np.kron(field, np.kron(np.eye(2), rest))
+        ham -= params.J * np.kron(SZ, np.kron(SZ, rest))
     return ham
 
 

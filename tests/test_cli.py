@@ -12,7 +12,7 @@ import pytest
 
 import krylov_echo
 from conftest import infidelity_allowance
-from krylov_echo import cli
+from krylov_echo import cli, linalg
 from krylov_echo.cli import (
     ORACLE_FLOOR,
     ExperimentConfig,
@@ -535,6 +535,29 @@ class TestBoundsCommand:
             if name.startswith("ratio_"):
                 assert np.isfinite(column(header, rows, name)).all(), name
         assert 0.5 <= column(header, rows, "ratio_extra_site_exact")[-1] <= 2.0
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            # The benchmark's grid: 31 times, one block at D = 1024.
+            "--model goe --n 1024 --krylov-n 30 --t-max 1 --points 31 --band",
+            # Four blocks, every time below the restart phase (t < 0.56 here).
+            "--model ising --n 10 --krylov-n 30 --t-max 0.5 --points 200",
+        ],
+        ids=["one-block", "short-phases"],
+    )
+    def test_no_row_below_the_restart_phase_moves(self, tmp_path, monkeypatch, command):
+        estimators = "--estimator extra_site_exact --estimator park_light"
+        first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(f"bounds {command} {estimators} --out {first}".split()) == 0
+
+        def from_psi(self, ts):
+            # Every block from psi, as before blocks could restart.
+            return self.psi, ts, 0.0
+
+        monkeypatch.setattr(linalg._ChebyshevPropagator, "_start", from_psi)
+        assert main(f"bounds {command} {estimators} --out {second}".split()) == 0
+        assert first.read_bytes() == second.read_bytes()
 
     def test_ratio_empty_at_the_oracle_floor(self, tmp_path):
         # Below t = 0.25 the oracle of this 16-site basis is roundoff of the

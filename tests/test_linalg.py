@@ -197,6 +197,49 @@ class TestChebyshevPropagator:
             bound = _chebyshev_error((abs(prop.centre) + prop.radius) * t)
             assert np.linalg.norm(state - reference(psi, t)) <= bound
 
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_restarted_blocks_within_summed_bound(self, name):
+        # Six blocks to t = 600: each after the first starts from the last
+        # state of the one before, so its rows carry that state's stated
+        # error plus their own span's.
+        ham = MODELS[name]()
+        basis = lanczos_iterate(ham, random_state(ham.dim, 7), 30)
+        psi = basis.vectors[0]
+        prop = _exact_propagator(basis, ham)
+        reference = eigh_evolution(DENSE[name]())
+        for block in np.array_split(np.linspace(0.0, 600.0, 301), 6):
+            states = prop(block)
+            assert prop.errors.shape == block.shape
+            for t, state, bound in zip(block, states, prop.errors):
+                assert np.linalg.norm(state - reference(psi, t)) <= bound
+        # Five restarts: five more start-up terms than one run from psi.
+        single = _chebyshev_error((abs(prop.centre) + prop.radius) * 600.0)
+        assert prop.errors[-1] == pytest.approx(single + 5 * _chebyshev_error(0.0))
+
+    def test_restart_only_past_the_phase_and_when_shorter(self):
+        ham = CountingOperator(goe_sample(64, 3).matrix)
+        basis = lanczos_iterate(ham, random_state(64, 4), 20)
+        prop = _exact_propagator(basis, ham)
+        rate = abs(prop.centre) + prop.radius
+        # Below the restart phase a block runs from psi, though its anchor
+        # is nearer; past it, it runs from the anchor only if that is nearer.
+        near = linalg._CHEB_RESTART_PHASE / rate
+        prop(np.array([0.5 * near]))
+        for block, restarted in [
+            ([0.6 * near, 0.9 * near], False),
+            ([1.0 * near, 1.1 * near], True),
+            ([3.0 * near], True),
+            ([1.0 * near], False),
+        ]:
+            block = np.array(block)
+            before = prop._anchor[2]
+            prop(block)
+            single = _chebyshev_error(rate * np.abs(block))
+            if restarted:
+                assert (prop.errors > single).all() and prop.errors[0] > before
+            else:
+                assert np.array_equal(prop.errors, single)
+
     def test_rows_at_zero_are_the_start_state_bit_for_bit(self):
         ham = MODELS["gue"]()
         basis = lanczos_iterate(ham, random_state(ham.dim, 7), 20)
@@ -217,13 +260,17 @@ class TestChebyshevPropagator:
         narrow = prop.radius
         ts = np.array([0.1, 1.0, 10.0])
         states = prop(ts)
-        assert prop.radius > narrow
+        radius = prop.radius
+        assert radius > narrow
         reference = eigh_evolution(DENSE[name]())
         for t, state in zip(ts, states):
             bound = _chebyshev_error((abs(prop.centre) + prop.radius) * t)
             assert np.linalg.norm(state - reference(psi, t)) <= bound
-        # The widened radius is kept: a later block runs at once.
-        assert np.linalg.norm(prop(ts[-1:])[0] - states[-1]) <= 2 * bound
+        # The widened radius is kept: a later block, below the restart phase
+        # and so run from psi, runs at once.
+        assert (abs(prop.centre) + prop.radius) * ts[0] < linalg._CHEB_RESTART_PHASE
+        again = prop(ts[:1])[0]
+        assert prop.radius == radius and np.linalg.norm(again - states[0]) <= 2 * prop.errors[0]
 
     def test_eigenvector_start_evolves_exactly(self):
         op = CountingOperator(np.diag([1.0, 2.0, 3.0]))
@@ -330,26 +377,26 @@ class TestDenseOracle:
         assert worst <= 1e-14
         assert np.abs(exact_evolve_dense(ham, psi, 0.0) - psi).max() <= 1e-14
 
-        blocks = []
+        blocks, errors = [], []
         call = _ChebyshevPropagator.__call__
 
         def counting_kernel(self, t):
             blocks.append(np.asarray(t))
-            return call(self, t)
+            states = call(self, t)
+            errors.append(self.errors)
+            return states
 
         basis = lanczos_iterate(ham, psi, 12)
         monkeypatch.setattr(_ChebyshevPropagator, "__call__", counting_kernel)
         batched = oracle_infidelities(basis, ham, ts)
         assert len(blocks) > 2
         assert np.array_equal(np.concatenate(blocks), ts)
-        # Per time against the test-side eigh state, within the kernel's stated
-        # bound for each of the two states, on the Ritz radius the kernel kept.
-        exact = _exact_propagator(basis, ham)
+        # Per time against the test-side eigh state, within twice the
+        # kernel's stated bound for the row, restarted blocks included.
         reference = eigh_evolution(DENSE[name]())
-        for t, value in zip(ts, batched):
+        for t, value, error in zip(ts, batched, np.concatenate(errors)):
             per_time = true_infidelity(krylov_evolve(basis, t), reference(basis.vectors[0], t))
-            delta = 2 * _chebyshev_error((abs(exact.centre) + exact.radius) * t)
-            assert abs(value - per_time) <= infidelity_allowance(per_time, delta)
+            assert abs(value - per_time) <= infidelity_allowance(per_time, 2 * error)
         assert batched[0] <= 1e-28
 
     @pytest.mark.parametrize("name", sorted(MODELS))
@@ -357,7 +404,7 @@ class TestDenseOracle:
         ham = MODELS[name]()
         psi = random_state(ham.dim, 8)
         ts = [0.3, 2.5]
-        dense = ham.to_dense()
+        dense = DENSE[name]()
         for t, state in zip(ts, exact_evolve_dense(ham, psi, ts)):
             assert np.abs(state - expm(-1j * t * dense) @ psi).max() <= 1e-11
 
@@ -374,6 +421,47 @@ class TestDenseOracle:
             tracemalloc.stop()
         # Not even half of one complex times-by-dim array.
         assert peak < ts.size * ham.dim * 16 / 2
+
+    def test_long_sweep_stays_within_the_block_budget(self):
+        # To t = 600 the last block of runs from psi took 13011 terms and a
+        # 64 x 13012 coefficient matrix (7.96 MB); restarted blocks each span
+        # an eighth of the grid (3.30 MB, as for t <= 6).
+        ham = ising_operator(IsingParams(10))
+        basis = lanczos_iterate(ham, random_state(ham.dim, 1), 30)
+        ts = np.linspace(0.0, 600.0, 481)
+        tracemalloc.start()
+        try:
+            oracle_infidelities(basis, ham, ts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < ts.size * ham.dim * 16 / 2
+
+    def test_restart_cuts_applies_and_moves_cells_within_the_bounds(self, monkeypatch):
+        # The benchmark's regimes grid: 481 times to t = 6 in 8 blocks.
+        ham = ising_operator(IsingParams(10))
+        basis = lanczos_iterate(ham, random_state(ham.dim, 1), 30)
+        ts = np.linspace(0.0, 6.0, 481)
+        applies = []
+        apply = ham.apply
+
+        def counted(vec):
+            applies.append(1)
+            return apply(vec)
+
+        monkeypatch.setattr(ham, "apply", counted)
+        restarted = oracle_infidelities(basis, ham, ts)
+        with_restart = len(applies)
+        monkeypatch.setattr(_ChebyshevPropagator, "_start", lambda self, ts: (self.psi, ts, 0.0))
+        applies.clear()
+        fresh = oracle_infidelities(basis, ham, ts)
+        # 315 against 841 measured.
+        assert 2 * with_restart < len(applies)
+        # Each state within its stated bound: at most 8 blocks' start-up
+        # terms over one run's bound for the restarted, one run's for the other.
+        exact = _exact_propagator(basis, ham)
+        delta = 9 * _chebyshev_error((abs(exact.centre) + exact.radius) * ts)
+        assert (np.abs(restarted - fresh) <= infidelity_allowance(fresh, delta)).all()
 
     def test_times_checked_before_any_work(self):
         ham = goe_sample(16, 1)
