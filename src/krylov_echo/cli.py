@@ -11,8 +11,10 @@ has succeeded, within ``oracle_cap``.
 Each option is declared once, as a field of ``ExperimentConfig``, and the
 parser is built from those fields. Values come from an optional flat
 ``key=value`` file plus command-line overrides, and ``_coerce`` parses every
-one of them; every output embeds a config echo in ``#`` comment lines so it
-is self-describing.
+one of them. Every CSV opens with ``#`` lines: the command, every option it
+reads except ``out`` with the value that ran (``evolve`` names its clamped
+basis size, its one estimator and the state path written), then its
+results, so it is self-describing.
 """
 
 from __future__ import annotations
@@ -36,11 +38,10 @@ from .estimators import (
 from .lanczos import lanczos_iterate
 from .linalg import (
     DEFAULT_ORACLE_CAP,
+    ORACLE_FLOOR,
     DenseOperator,
     LinearOperator,
-    _CHEB_RESTART_PHASE,
     SymmetricTridiagonal,
-    _chebyshev_error,
     _end_states,
     _over_times,
     basis_state,
@@ -70,18 +71,6 @@ STATE_SEED_OFFSET = 1_000_003
 # of exponential error growth, and the plateau level it must sit below.
 PLATEAU_LEVEL = 1e-10
 SUSTAIN_POINTS = 3
-
-# A bounds ratio cell is left empty where the oracle is at or below this.
-# The oracle reads each Krylov state against a Chebyshev state within
-# delta = _chebyshev_error(phase) of the exact one, so an infidelity eps is
-# read off by up to 2 delta sqrt(eps) + delta^2: a ratio is good to 10 %
-# only where sqrt(eps) >= 20 delta. An oracle that small is met at short
-# times, where the phase (|c| + r) t is at most about 10: a basis of the
-# default 30 sites has an error near ((rt/2)^30 / 30!)^2, which reaches
-# 1e-26 at rt = 9. No row below phase _CHEB_RESTART_PHASE = 10 starts from
-# an earlier block's state, so there delta is that of one run from psi, at
-# most _chebyshev_error(10) = 9.9e-15, and the floor is (20 delta)^2 = 3.9e-26.
-ORACLE_FLOOR = (20.0 * _chebyshev_error(_CHEB_RESTART_PHASE)) ** 2
 
 
 # The subcommands that read a shared option: those that build a model, those
@@ -161,6 +150,11 @@ class ExperimentConfig:
 # Looked up once: resolving the annotations per value costs more than the parse.
 _KINDS = typing.get_type_hints(ExperimentConfig)
 _OPTIONS = tuple(f for f in fields(ExperimentConfig) if f.name != "command")
+
+
+def _reads(option, command: str) -> bool:
+    """Whether ``command`` reads the option declared by field ``option``."""
+    return command in option.metadata.get("commands", COMMANDS)
 
 
 def _coerce(key: str, raw: str):
@@ -249,15 +243,16 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _config_comments(cfg: ExperimentConfig, keys: tuple[str, ...]) -> list[str]:
-    lines = [f"command={cfg.command}"]
-    lines += [f"{key}={getattr(cfg, key)}" for key in keys]
-    return lines
+def _write_csv(cfg: ExperimentConfig, header, rows, *results: str) -> None:
+    """Write ``cfg.out``: ``#`` lines, the header, then the rows.
 
-
-def _write_csv(path, comments, header, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        for line in comments:
+    The ``#`` lines are ``command=``, every option the command reads except
+    ``out`` in field order, then the command's ``key=value`` results.
+    """
+    keys = [f.name for f in _OPTIONS if f.name != "out" and _reads(f, cfg.command)]
+    lines = [f"command={cfg.command}", *(f"{key}={getattr(cfg, key)}" for key in keys), *results]
+    with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
+        for line in lines:
             fh.write(f"# {line}\n")
         fh.write(",".join(header) + "\n")
         for row in rows:
@@ -309,13 +304,8 @@ def cmd_regimes(cfg: ExperimentConfig) -> None:
     errors = oracle_infidelities(basis, hamiltonian, ts, cap=cfg.oracle_cap)
     echoes = 1.0 - errors
     t_exp, t_col = measure_regime_times(ts, errors, echoes)
-    comments = _config_comments(
-        cfg, ("model", "n", "J", "h_x", "h_z", "krylov_n", "t_min", "t_max", "points", "seed")
-    )
-    comments.append(f"t_exp={_fmt(t_exp)}")
-    comments.append(f"t_col={_fmt(t_col)}")
     rows = [(float(t), float(e), float(r)) for t, e, r in zip(ts, echoes, errors)]
-    _write_csv(cfg.out, comments, ["t", "echo", "error"], rows)
+    _write_csv(cfg, ["t", "echo", "error"], rows, f"t_exp={_fmt(t_exp)}", f"t_col={_fmt(t_col)}")
 
 
 def cmd_snapshots(cfg: ExperimentConfig) -> None:
@@ -343,10 +333,7 @@ def cmd_snapshots(cfg: ExperimentConfig) -> None:
         pop_exact.ravel(),
         pop_krylov.ravel(),
     )
-    comments = _config_comments(
-        cfg, ("model", "n", "krylov_n", "profile_m", "times", "seed")
-    )
-    _write_csv(cfg.out, comments, ["t", "site", "pop_exact", "pop_krylov"], rows)
+    _write_csv(cfg, ["t", "site", "pop_exact", "pop_krylov"], rows)
 
 
 def cmd_bounds(cfg: ExperimentConfig) -> None:
@@ -371,13 +358,7 @@ def cmd_bounds(cfg: ExperimentConfig) -> None:
     columns = [ts, oracles, *estimates, *ratios]
     if cfg.band:
         columns += extra_site_band(basis, ts)
-    rows = zip(*columns)
-    comments = _config_comments(
-        cfg,
-        ("model", "n", "J", "h_x", "h_z", "krylov_n", "t_min", "t_max", "points", "seed", "estimators", "band"),
-    )
-    comments.append(f"oracle_floor={_fmt(ORACLE_FLOOR)}")
-    _write_csv(cfg.out, comments, header, rows)
+    _write_csv(cfg, header, zip(*columns), f"oracle_floor={_fmt(ORACLE_FLOOR)}")
 
 
 def cmd_toeplitz(cfg: ExperimentConfig) -> None:
@@ -387,8 +368,7 @@ def cmd_toeplitz(cfg: ExperimentConfig) -> None:
     analytic = np.abs(toeplitz_echo(cfg.n, cfg.n_prime, cfg.alpha, cfg.beta, ts)) ** 2
     numeric = np.abs(echo_general(_homogeneous(cfg.n, cfg), _homogeneous(cfg.n_prime, cfg), ts)) ** 2
     rows = zip(ts, analytic, numeric, np.abs(analytic - numeric))
-    comments = _config_comments(cfg, ("n", "n_prime", "alpha", "beta", "t_min", "t_max", "points"))
-    _write_csv(cfg.out, comments, ["t", "echo2_analytic", "echo2_numeric", "abs_diff"], rows)
+    _write_csv(cfg, ["t", "echo2_analytic", "echo2_numeric", "abs_diff"], rows)
 
 
 def cmd_evolve(cfg: ExperimentConfig) -> None:
@@ -396,26 +376,24 @@ def cmd_evolve(cfg: ExperimentConfig) -> None:
     hamiltonian, psi = build_model(cfg)
     kind = cfg.estimators[0] if cfg.estimators else "extra_site_exact"
     report = evolve_adaptive(hamiltonian, psi, cfg.t_final, cfg.tol, cfg.krylov_n, kind=kind)
-    # Echo the basis size that ran; evolve_adaptive checks the requested one.
-    cfg = replace(cfg, krylov_n=min(cfg.krylov_n, hamiltonian.dim))
-    state_path = cfg.state_out or f"{cfg.out}.kryv"
-    write_state(state_path, report.final_state)
-    comments = _config_comments(
-        cfg, ("model", "n", "J", "h_x", "h_z", "krylov_n", "seed", "tol", "t_final")
+    # Echo what ran: the basis size (evolve_adaptive checks the requested
+    # one), the one estimator and the state path written.
+    cfg = replace(
+        cfg, krylov_n=min(cfg.krylov_n, hamiltonian.dim), estimators=(kind,),
+        state_out=cfg.state_out or f"{cfg.out}.kryv",
     )
-    comments.append(f"estimator={kind}")
-    comments.append(f"state_out={state_path}")
-    comments.append(f"total_estimated_error={_fmt(report.total_estimated_error)}")
-    comments.append(f"infidelity_bound={_fmt(report.infidelity_bound)}")
+    write_state(cfg.state_out, report.final_state)
+    results = [
+        f"total_estimated_error={_fmt(report.total_estimated_error)}",
+        f"infidelity_bound={_fmt(report.infidelity_bound)}",
+    ]
     # The dense oracle is solved only once the evolution has succeeded, and
     # only within the cap; above it the line is left out, not refused.
     if hamiltonian.dim <= cfg.oracle_cap:
         exact = exact_evolve_dense(hamiltonian, psi, cfg.t_final, cap=cfg.oracle_cap)
-        final_infidelity = true_infidelity(report.final_state, exact)
-        comments.append(f"true_infidelity={_fmt(final_infidelity)}")
+        results.append(f"true_infidelity={_fmt(true_infidelity(report.final_state, exact))}")
     rows = [(i, *astuple(step)) for i, step in enumerate(report.steps)]
-    header = ["step", *(f.name for f in fields(StepRecord))]
-    _write_csv(cfg.out, comments, header, rows)
+    _write_csv(cfg, ["step", *(f.name for f in fields(StepRecord))], rows, *results)
 
 
 COMMANDS = {
@@ -439,9 +417,9 @@ def _build_parser() -> argparse.ArgumentParser:
         sub_parser = sub.add_parser(name, help=command.__doc__)
         sub_parser.add_argument("--config", help="flat key=value config file")
         for f in _OPTIONS:
-            meta = dict(f.metadata)
-            flag = meta.pop("flag", "--" + f.name.replace("_", "-"))
-            if name in meta.pop("commands", COMMANDS):
+            if _reads(f, name):
+                meta = {key: value for key, value in f.metadata.items() if key != "commands"}
+                flag = meta.pop("flag", "--" + f.name.replace("_", "-"))
                 sub_parser.add_argument(flag, dest=f.name, **meta)
     return parser
 

@@ -50,10 +50,6 @@ _CHEB_TAIL = 1e-16
 _CHEB_EXTRA_NODES = 32
 _CHEB_CHUNK = 32
 _CHEB_NORM_RTOL = 1e-12
-# A block of times restarts from the last state of the block before only
-# where every time's phase (|c| + r)|t| is at least this; rows at smaller
-# phases are always one run from psi.
-_CHEB_RESTART_PHASE = 10.0
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 
 
@@ -396,6 +392,23 @@ def _chebyshev_error(phase) -> float:
     at most ``1.4 u (1 + phase)`` for phases up to 700.
     """
     return _CHEB_TAIL + 8.0 * _UNIT_ROUNDOFF * (1.0 + phase)
+
+
+# A block of times restarts from the last state of the block before only
+# where every time's phase (|c| + r)|t| is at least this; rows at smaller
+# phases are always one run from psi.
+_CHEB_RESTART_PHASE = 10.0
+# A bounds ratio cell is left empty where the oracle is at or below this.
+# The oracle reads each Krylov state against a Chebyshev state within
+# delta = _chebyshev_error(phase) of the exact one, so an infidelity eps is
+# read off by up to 2 delta sqrt(eps) + delta^2: a ratio is good to 10 %
+# only where sqrt(eps) >= 20 delta. An oracle that small is met at short
+# times, where the phase (|c| + r) t is at most about 10: a basis of the
+# default 30 sites has an error near ((rt/2)^30 / 30!)^2, which reaches
+# 1e-26 at rt = 9. Those rows lie below the restart phase, so their delta is
+# that of one run from psi, at most _chebyshev_error(10) = 9.9e-15, and the
+# floor is (20 delta)^2 = 3.9e-26.
+ORACLE_FLOOR = (20.0 * _chebyshev_error(_CHEB_RESTART_PHASE)) ** 2
 
 
 def _chebyshev_terms(tau: float) -> int:

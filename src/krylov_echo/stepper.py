@@ -52,7 +52,6 @@ class StepRecord:
     dt: float
     basis_size: int
     estimated_error: float
-    estimator_kind: str
     wall_time: float = field(compare=False, default=0.0)
 
 
@@ -179,7 +178,6 @@ def evolve_adaptive(
                 dt=dt,
                 basis_size=eval_fn.basis.size,
                 estimated_error=estimate,
-                estimator_kind=kind,
                 wall_time=time.perf_counter() - tick,
             )
         )

@@ -2,11 +2,58 @@
 
 from __future__ import annotations
 
+import ctypes
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy
 
 from krylov_echo.models import IsingParams
 from krylov_echo.toeplitz import toeplitz_echo
+
+# Environment variables through which a user sets the BLAS thread count.
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def openblas_threads(path):
+    """The ``(get, set)`` thread-count functions of the OpenBLAS at ``path``, or None.
+
+    numpy's wheel ships an ILP64 build whose symbols end in ``64_``, scipy's
+    an LP64 build without the suffix; a library exporting neither, such as
+    another BLAS, gives None.
+    """
+    lib = ctypes.CDLL(str(path))
+    for suffix in ("64_", ""):
+        try:
+            return (
+                getattr(lib, f"scipy_openblas_get_num_threads{suffix}"),
+                getattr(lib, f"scipy_openblas_set_num_threads{suffix}"),
+            )
+        except AttributeError:
+            continue
+    return None
+
+
+def bundled_openblas() -> list:
+    """The ``(get, set)`` pairs of each OpenBLAS shipped in the numpy and scipy wheels."""
+    found = []
+    for package in (np, scipy):
+        libs = Path(package.__file__).parents[1] / f"{package.__name__}.libs"
+        for path in sorted(libs.glob("libscipy_openblas*")):
+            if (threads := openblas_threads(path)) is not None:
+                found.append(threads)
+    return found
+
+
+# One BLAS thread per library unless the user chose a count: with two pools
+# on a few cores the small BLAS calls of the suite contend and run several
+# times slower. numpy is already loaded when this file runs (pytest imports
+# it for the warning filters), so each library's own setter is called.
+if not any(name in os.environ for name in THREAD_VARIABLES):
+    for _, set_threads in bundled_openblas():
+        set_threads(1)
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]])

@@ -866,6 +866,75 @@ class TestMainEntry:
         comments, _, _ = read_csv(out)
         assert {key: comments[key] for key in echoed} == echoed
 
+    # Each command's echo: every option it reads except out, in field order,
+    # with the value that ran, then its result lines.
+    ECHOES = {
+        "regimes": (
+            "regimes --model toeplitz --n 12 --alpha 0.3 --beta 2.0 --krylov-n 6 "
+            "--t-min 0.5 --t-max 2.0 --points 5 --seed 3 --oracle-cap 100",
+            {
+                "model": "toeplitz", "n": "12", "J": "1.0", "h_x": "1.0", "h_z": "0.5",
+                "alpha": "0.3", "beta": "2.0", "krylov_n": "6", "t_min": "0.5", "t_max": "2.0",
+                "points": "5", "seed": "3", "oracle_cap": "100",
+            },
+            ["t_exp", "t_col"],
+        ),
+        "snapshots": (
+            "snapshots --model ising --n 4 --j 0.5 --hx 2.0 --hz 0.1 --krylov-n 5 "
+            "--times 0.5,1.0 --profile-m 10 --seed 2",
+            {
+                "model": "ising", "n": "4", "J": "0.5", "h_x": "2.0", "h_z": "0.1",
+                "alpha": "0.0", "beta": "1.0", "krylov_n": "5", "times": "(0.5, 1.0)",
+                "seed": "2", "profile_m": "10", "oracle_cap": "4096",
+            },
+            [],
+        ),
+        "bounds": (
+            "bounds --model toeplitz --n 20 --alpha 0.3 --beta 2.0 --krylov-n 6 --t-max 1.0 "
+            "--points 5 --estimator park_light --estimator extra_site_exact --band",
+            {
+                "model": "toeplitz", "n": "20", "J": "1.0", "h_x": "1.0", "h_z": "0.5",
+                "alpha": "0.3", "beta": "2.0", "krylov_n": "6", "t_min": "0.0", "t_max": "1.0",
+                "points": "5", "seed": "1", "estimators": "('park_light', 'extra_site_exact')",
+                "band": "True", "oracle_cap": "4096",
+            },
+            ["oracle_floor"],
+        ),
+        "toeplitz": (
+            "toeplitz --n 10 --alpha 0.5 --beta 1.5 --t-max 5.0 --points 5",
+            {
+                "n": "10", "alpha": "0.5", "beta": "1.5", "n_prime": "11", "t_min": "0.0",
+                "t_max": "5.0", "points": "5",
+            },
+            [],
+        ),
+        "evolve": (
+            "evolve --model goe --n 32 --krylov-n 8 --seed 4 --estimator extra_site_hybrid "
+            "--estimator park_light --tol 1e-06 --t-final 2.0 --oracle-cap 64",
+            {
+                "model": "goe", "n": "32", "J": "1.0", "h_x": "1.0", "h_z": "0.5",
+                "alpha": "0.0", "beta": "1.0", "krylov_n": "8", "seed": "4",
+                "estimators": "('extra_site_hybrid',)", "tol": "1e-06", "t_final": "2.0",
+                "oracle_cap": "64", "state_out": "{out}.kryv",
+            },
+            ["total_estimated_error", "infidelity_bound", "true_infidelity"],
+        ),
+    }
+
+    @pytest.mark.parametrize("command", list(ECHOES))
+    def test_echo_is_every_option_read_then_the_results(self, tmp_path, command):
+        args, options, results = self.ECHOES[command]
+        out = tmp_path / "run.csv"
+        assert main(f"{args} --out {out}".split()) == 0
+        comments, header, _ = read_csv(out)
+        echoed = {key: value.format(out=out) for key, value in options.items()}
+        assert list(comments) == ["command", *echoed, *results]
+        assert {key: comments[key] for key in ["command", *echoed]} == {"command": command, **echoed}
+        if command == "evolve":
+            # The kind is stated once, in the header, and the state is where it says.
+            assert "estimator_kind" not in header
+            assert Path(comments["state_out"]).is_file()
+
     # A failure before the oracle is needed: the estimate exceeds its budget
     # at the minimum step.
     UNREACHABLE = "evolve --model ising --n 6 --krylov-n 2 --tol 1e-14 --t-final 5"
