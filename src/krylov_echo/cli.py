@@ -12,9 +12,10 @@ Each option is declared once, as a field of ``ExperimentConfig``, and the
 parser is built from those fields. Values come from an optional flat
 ``key=value`` file plus command-line overrides, and ``_coerce`` parses every
 one of them. Every CSV opens with ``#`` lines: the command, every option it
-reads except ``out`` with the value that ran (``evolve`` names its clamped
-basis size, its one estimator and the state path written), then its
-results, so it is self-describing.
+reads except ``out`` with the value that ran, as ``_coerce`` reads it
+(``evolve`` names its clamped basis size, its one estimator and the state
+path written), then its results: the CSV is self-describing, and its option
+lines are a config file.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .linalg import (
     basis_state,
     exact_evolve_dense,
 )
-from .models import IsingParams, goe_sample, gue_sample, ising_operator, random_state
+from .models import MAX_ENSEMBLE_DIM, IsingParams, goe_sample, gue_sample, ising_operator, random_state
 from .propagator import project_profile, true_infidelity
 from .stateio import write_state
 from .stepper import StepRecord, evolve_adaptive
@@ -124,7 +125,7 @@ class ExperimentConfig:
     )
     tol: float = _option(1e-8, help="total infidelity budget", commands=("evolve",))
     t_final: float = _option(100.0, commands=("evolve",))
-    oracle_cap: int = _option(DEFAULT_ORACLE_CAP, commands=_MODEL)
+    oracle_cap: int = _option(DEFAULT_ORACLE_CAP, commands=("evolve",))
     out: str = _option("out.csv", help="output CSV path")
     state_out: str = _option("", help="final state path (KRYV1)", commands=("evolve",))
 
@@ -206,22 +207,19 @@ def _homogeneous(n: int, cfg: ExperimentConfig) -> SymmetricTridiagonal:
     return SymmetricTridiagonal(np.full(n, cfg.alpha), np.full(n - 1, cfg.beta))
 
 
-def build_model(cfg: ExperimentConfig, oracle: bool = False) -> tuple[LinearOperator, np.ndarray]:
+def build_model(cfg: ExperimentConfig) -> tuple[LinearOperator, np.ndarray]:
     """Instantiate (H, initial state) for the configured model.
 
     Random-matrix models draw the state with an offset seed so it is
     independent of the matrix entries. The toeplitz model starts at chain
     site 1, where the recurrence reproduces the homogeneous chain exactly.
-    With ``oracle``, a dimension above ``cfg.oracle_cap`` is refused before
-    any dense matrix is drawn or filled.
+    A dense model (goe, gue, toeplitz) above ``MAX_ENSEMBLE_DIM`` is refused
+    before its matrix is drawn or filled.
     """
     params = IsingParams(cfg.n, J=cfg.J, h_x=cfg.h_x, h_z=cfg.h_z) if cfg.model == "ising" else None
     dim = cfg.n if params is None else params.dim
-    if oracle and dim > cfg.oracle_cap:
-        raise ValueError(
-            f"this experiment needs an exact oracle, but dimension {dim} exceeds "
-            f"oracle_cap {cfg.oracle_cap}"
-        )
+    if params is None and dim > MAX_ENSEMBLE_DIM:
+        raise ValueError(f"{cfg.model} dimension {dim} exceeds cap {MAX_ENSEMBLE_DIM}")
     if cfg.model == "ising":
         return ising_operator(params), random_state(dim, cfg.seed)
     if cfg.model == "goe":
@@ -243,14 +241,19 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _echo(value) -> str:
+    """An option value as ``_coerce`` reads it: a tuple comma-separated."""
+    return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+
 def _write_csv(cfg: ExperimentConfig, header, rows, *results: str) -> None:
     """Write ``cfg.out``: ``#`` lines, the header, then the rows.
 
     The ``#`` lines are ``command=``, every option the command reads except
-    ``out`` in field order, then the command's ``key=value`` results.
+    ``out`` in field order (``_echo``), then the command's ``key=value`` results.
     """
     keys = [f.name for f in _OPTIONS if f.name != "out" and _reads(f, cfg.command)]
-    lines = [f"command={cfg.command}", *(f"{key}={getattr(cfg, key)}" for key in keys), *results]
+    lines = [f"command={cfg.command}", *(f"{key}={_echo(getattr(cfg, key))}" for key in keys), *results]
     with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
         for line in lines:
             fh.write(f"# {line}\n")
@@ -268,7 +271,7 @@ def measure_regime_times(ts, errors, echoes) -> tuple[float, float]:
     back to where that collapse begins (falls below 1% of the steepest
     rate); on fine grids the cliff spans several intervals and the onset,
     not the mid-cliff point, marks the regime boundary. Either time is NaN
-    when undefined.
+    when undefined, and both are when no error exceeds the plateau level.
     """
     ts = np.asarray(ts, dtype=float)
     errors = np.asarray(errors, dtype=float)
@@ -280,7 +283,7 @@ def measure_regime_times(ts, errors, echoes) -> tuple[float, float]:
             t_exp = float(ts[i])
             break
     t_col = float("nan")
-    if len(ts) > 1:
+    if len(ts) > 1 and above.any():
         drops = np.diff(echoes)
         steepest = int(np.argmin(drops))
         threshold = 0.01 * abs(drops[steepest])
@@ -297,11 +300,11 @@ def _grid(cfg: ExperimentConfig) -> np.ndarray:
 
 def cmd_regimes(cfg: ExperimentConfig) -> None:
     """Echo and true error across a time grid, with measured regime times."""
-    hamiltonian, psi = build_model(cfg, oracle=True)
+    hamiltonian, psi = build_model(cfg)
     cfg = replace(cfg, krylov_n=min(cfg.krylov_n, hamiltonian.dim))
     basis = lanczos_iterate(hamiltonian, psi, cfg.krylov_n)
     ts = _grid(cfg)
-    errors = oracle_infidelities(basis, hamiltonian, ts, cap=cfg.oracle_cap)
+    errors = oracle_infidelities(basis, hamiltonian, ts)
     echoes = 1.0 - errors
     t_exp, t_col = measure_regime_times(ts, errors, echoes)
     rows = [(float(t), float(e), float(r)) for t, e, r in zip(ts, echoes, errors)]
@@ -312,7 +315,7 @@ def cmd_snapshots(cfg: ExperimentConfig) -> None:
     """Exact vs Krylov wave-packet profiles on the chain at requested times."""
     if not cfg.times:
         raise ValueError("snapshots needs --times (comma-separated list)")
-    hamiltonian, psi = build_model(cfg, oracle=True)
+    hamiltonian, psi = build_model(cfg)
     krylov_n = min(cfg.krylov_n, hamiltonian.dim)
     profile_m = cfg.profile_m or min(2 * krylov_n, hamiltonian.dim)
     if not krylov_n <= profile_m <= hamiltonian.dim:
@@ -338,7 +341,7 @@ def cmd_snapshots(cfg: ExperimentConfig) -> None:
 
 def cmd_bounds(cfg: ExperimentConfig) -> None:
     """Cheap estimators against the oracle error, with per-time ratios."""
-    hamiltonian, psi = build_model(cfg, oracle=True)
+    hamiltonian, psi = build_model(cfg)
     cfg = replace(cfg, krylov_n=min(cfg.krylov_n, hamiltonian.dim))
     basis = lanczos_iterate(hamiltonian, psi, cfg.krylov_n)
     estimator_fns = {
@@ -350,7 +353,7 @@ def cmd_bounds(cfg: ExperimentConfig) -> None:
     header += [f"ratio_{name}" for name in cfg.estimators]
     if cfg.band:
         header += ["band_low", "band_high"]
-    oracles = oracle_infidelities(basis, hamiltonian, ts, cap=cfg.oracle_cap)
+    oracles = oracle_infidelities(basis, hamiltonian, ts)
     estimates = [estimator_fns[name](ts) for name in cfg.estimators]
     # A ratio over an oracle at its floor is roundoff, not a measurement: its cell is left empty.
     undefined = oracles <= ORACLE_FLOOR

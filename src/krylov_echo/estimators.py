@@ -25,10 +25,8 @@ import numpy as np
 
 from .lanczos import KrylovBasis, extend_one
 from .linalg import (
-    DEFAULT_ORACLE_CAP,
     LinearOperator,
     SymmetricTridiagonal,
-    _check_oracle_cap,
     _ChebyshevPropagator,
     _over_chains,
     _over_times,
@@ -201,13 +199,7 @@ def _exact_propagator(basis: KrylovBasis, hamiltonian: LinearOperator) -> _Cheby
     return _ChebyshevPropagator(hamiltonian, basis.vectors[0], ritz[0] - spread, ritz[-1] + spread)
 
 
-def oracle_infidelities(
-    basis: KrylovBasis,
-    hamiltonian: LinearOperator,
-    ts,
-    *,
-    cap: int = DEFAULT_ORACLE_CAP,
-) -> np.ndarray:
+def oracle_infidelities(basis: KrylovBasis, hamiltonian: LinearOperator, ts) -> np.ndarray:
     """True infidelity of the Krylov evolution at each of ``ts`` (verification only).
 
     One time block at a time, the Chebyshev propagator of
@@ -216,10 +208,9 @@ def oracle_infidelities(
     values, and :func:`krylov_evolve` the Krylov states as one product; each
     pair goes through the infidelity kernel of
     :func:`krylov_echo.propagator.true_infidelity`. No dense matrix is formed
-    or solved. A dimension above ``cap`` is refused, and ``ts``, a scalar or
-    a 1-D array of finite times, is checked, before any work.
+    or solved, so no dimension is refused. ``ts``, a scalar or a 1-D array
+    of finite times, is checked before any work.
     """
-    _check_oracle_cap(hamiltonian.dim, cap)
     exact = _exact_propagator(basis, hamiltonian)
 
     def block(times):
@@ -231,15 +222,9 @@ def oracle_infidelities(
     return _over_times(block, ts, hamiltonian.dim)
 
 
-def estimate_oracle(
-    basis: KrylovBasis,
-    hamiltonian: LinearOperator,
-    t: float,
-    *,
-    cap: int = DEFAULT_ORACLE_CAP,
-) -> float:
+def estimate_oracle(basis: KrylovBasis, hamiltonian: LinearOperator, t: float) -> float:
     """True infidelity at one time: :func:`oracle_infidelities` at a scalar ``t`` (verification only)."""
-    return float(oracle_infidelities(basis, hamiltonian, t, cap=cap))
+    return float(oracle_infidelities(basis, hamiltonian, t))
 
 
 # Names accepted by bind_estimator and the CLI, each with its eps(basis, t), looked up

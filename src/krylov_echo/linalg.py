@@ -231,8 +231,8 @@ class LinearOperator:
     propagator overwrite it.
     The Chebyshev propagator, the oracle of the ``regimes``, ``bounds`` and
     ``snapshots`` commands, needs ``apply`` alone. ``dense_eigh`` exists for
-    the dense oracle, :func:`exact_evolve_dense`, which the ``evolve``
-    command and the tests use at modest dimensions; only it memoizes, and a
+    the dense oracle, :func:`exact_evolve_dense`, which ``evolve`` uses within
+    ``oracle_cap`` and the tests at modest dimensions; only it memoizes, and a
     subclass changes how it solves through the ``_eigh`` hook. The base hook
     solves ``to_dense``, one ``apply`` per column; the Ising chain overrides
     it with a sector solve that forms no dense matrix, so its ``to_dense``
@@ -341,15 +341,6 @@ def _check_hermitian(matrix: np.ndarray) -> None:
         raise ValueError("matrix is not Hermitian")
 
 
-def _check_oracle_cap(dim: int, cap: int) -> None:
-    """Refuse an oracle above ``cap``: oracles exist for verification, not production evolution."""
-    if dim > cap:
-        raise ValueError(
-            f"exact oracle refused: dimension {dim} exceeds cap {cap}; "
-            "the oracle exists for verification, not production evolution"
-        )
-
-
 def exact_evolve_dense(
     hamiltonian: LinearOperator,
     psi: np.ndarray,
@@ -362,12 +353,16 @@ def exact_evolve_dense(
     This is the verification oracle: exact up to eigensolver accuracy, with
     O(dim^3) setup (cached on the operator) and O(dim^2) per time, in real
     arithmetic for a real operator. It is the propagator kernel with
-    ``c = E^dagger psi``; an array ``t`` gives one state per time, so sweeps
-    call it once per ``_over_times`` block. It refuses dimensions above
-    ``cap`` so production paths cannot lean on it by accident, and checks
-    ``psi`` and ``t`` (finite, scalar or 1-D) before the eigensolve.
+    ``c = E^dagger psi``; an array ``t`` gives one state per time. The one
+    oracle with a size limit, it refuses dimensions above ``cap`` (``evolve``'s
+    ``oracle_cap``) and checks ``psi`` and ``t`` (finite, scalar or 1-D) before
+    the eigensolve.
     """
-    _check_oracle_cap(hamiltonian.dim, cap)
+    if hamiltonian.dim > cap:
+        raise ValueError(
+            f"exact oracle refused: dimension {hamiltonian.dim} exceeds cap {cap}; "
+            "the oracle exists for verification, not production evolution"
+        )
     psi = np.ascontiguousarray(psi, dtype=np.complex128)
     if psi.shape != (hamiltonian.dim,):
         raise ValueError(f"state shape {psi.shape} does not match dim {hamiltonian.dim}")

@@ -252,46 +252,60 @@ class TestRegimesCommand:
         assert errors.max() > 1e-4
 
     @pytest.mark.parametrize(
-        "command", ["regimes", "bounds", "snapshots --times 0,1"], ids=["regimes", "bounds", "snapshots"]
+        "command",
+        ["regimes --points 5 --t-max 1", "bounds --points 5 --t-max 1", "snapshots --times 0,1"],
+        ids=["regimes", "bounds", "snapshots"],
     )
-    def test_oracle_cap_enforced(self, tmp_path, capsys, command):
-        out = tmp_path / "never.csv"
-        rc = main(
-            f"{command} --model ising --n 8 --krylov-n 16 --oracle-cap 64 "
-            f"--out {out}".split()
-        )
-        assert rc == 1
-        assert "oracle_cap" in capsys.readouterr().err
-        assert not out.exists()
+    def test_sweep_above_the_dense_cap_runs(self, tmp_path, command):
+        # The sweeps' oracle is matrix-free, so Ising n=13 (D=8192, twice
+        # the dense oracle's default cap) runs and echoes no cap it never read.
+        out = tmp_path / "big.csv"
+        assert main(f"{command} --model ising --n 13 --krylov-n 8 --out {out}".split()) == 0
+        comments, _, rows = read_csv(out)
+        assert "oracle_cap" not in comments
+        assert rows
 
     @pytest.mark.parametrize(
-        "model, n, dim, builder",
-        [
-            ("goe", 3000, 3000, "goe_sample"),
-            ("gue", 3000, 3000, "gue_sample"),
-            ("ising", 20, 2**20, "ising_operator"),
-        ],
-        ids=["goe", "gue", "ising"],
+        "model, builder",
+        [("goe", "goe_sample"), ("gue", "gue_sample"), ("toeplitz", "_homogeneous")],
+        ids=["goe", "gue", "toeplitz"],
     )
     @pytest.mark.parametrize(
-        "command", ["regimes", "bounds", "snapshots --times 0,1"], ids=["regimes", "bounds", "snapshots"]
+        "command",
+        ["regimes", "bounds", "snapshots --times 0,1", "evolve"],
+        ids=["regimes", "bounds", "snapshots", "evolve"],
     )
-    def test_oracle_cap_refuses_before_sampling(
-        self, tmp_path, capsys, monkeypatch, command, model, n, dim, builder
+    def test_dense_model_above_the_size_cap_refused_before_building(
+        self, tmp_path, capsys, monkeypatch, command, model, builder
     ):
         def never(*args):
-            raise AssertionError("the operator was built before the oracle cap was checked")
+            raise AssertionError("the dense model was built before its size was checked")
 
         monkeypatch.setattr(cli, builder, never)
         out = tmp_path / "never.csv"
-        rc = main(f"{command} --model {model} --n {n} --oracle-cap 2048 --out {out}".split())
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert (
-            f"this experiment needs an exact oracle, but dimension {dim} exceeds oracle_cap 2048"
-            in err
-        )
+        n = cli.MAX_ENSEMBLE_DIM + 1
+        assert main(f"{command} --model {model} --n {n} --out {out}".split()) == 1
+        assert f"{model} dimension {n} exceeds cap {cli.MAX_ENSEMBLE_DIM}" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_dense_model_size_cap_is_inclusive(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_ENSEMBLE_DIM", 8)
+        args = "regimes --model toeplitz --krylov-n 4 --points 5 --t-max 1 --out {}"
+        assert main(f"{args} --n 8".format(tmp_path / "at.csv").split()) == 0
+        assert main(f"{args} --n 9".format(tmp_path / "above.csv").split()) == 1
+        assert not (tmp_path / "above.csv").exists()
+
+    def test_no_collapse_without_error_growth(self, tmp_path):
+        # A full-size basis is exact: no error leaves the plateau, so neither
+        # regime time is defined.
+        out = tmp_path / "exact.csv"
+        rc = main(
+            f"regimes --model toeplitz --n 10 --krylov-n 10 --points 21 --t-max 5 --out {out}".split()
+        )
+        assert rc == 0
+        comments, header, rows = read_csv(out)
+        assert column(header, rows, "error").max() <= cli.PLATEAU_LEVEL
+        assert (comments["t_exp"], comments["t_col"]) == ("nan", "nan")
 
     @pytest.mark.parametrize(
         "args",
@@ -719,7 +733,6 @@ MODEL_FLAGS = {
     "--beta": "beta",
     "--krylov-n": "krylov_n",
     "--seed": "seed",
-    "--oracle-cap": "oracle_cap",
 }
 GRID_FLAGS = {"--t-min": "t_min", "--t-max": "t_max", "--points": "points"}
 ESTIMATOR_FLAGS = {"--estimator": "estimators"}
@@ -732,7 +745,7 @@ COMMAND_FLAGS = {
     },
     "evolve": {
         **MODEL_FLAGS, **ESTIMATOR_FLAGS,
-        "--tol": "tol", "--t-final": "t_final", "--state-out": "state_out",
+        "--tol": "tol", "--t-final": "t_final", "--oracle-cap": "oracle_cap", "--state-out": "state_out",
     },
 }
 
@@ -777,6 +790,10 @@ class TestMainEntry:
             "evolve --points 5",
             "snapshots --t-max 3",
             "regimes --estimator park_light",
+            # Only evolve's dense solve reads a cap.
+            "regimes --oracle-cap 64",
+            "bounds --oracle-cap 64",
+            "snapshots --oracle-cap 64",
         ],
     )
     def test_flag_of_another_subcommand_exits_via_argparse(self, capsys, args):
@@ -871,11 +888,11 @@ class TestMainEntry:
     ECHOES = {
         "regimes": (
             "regimes --model toeplitz --n 12 --alpha 0.3 --beta 2.0 --krylov-n 6 "
-            "--t-min 0.5 --t-max 2.0 --points 5 --seed 3 --oracle-cap 100",
+            "--t-min 0.5 --t-max 2.0 --points 5 --seed 3",
             {
                 "model": "toeplitz", "n": "12", "J": "1.0", "h_x": "1.0", "h_z": "0.5",
                 "alpha": "0.3", "beta": "2.0", "krylov_n": "6", "t_min": "0.5", "t_max": "2.0",
-                "points": "5", "seed": "3", "oracle_cap": "100",
+                "points": "5", "seed": "3",
             },
             ["t_exp", "t_col"],
         ),
@@ -884,8 +901,8 @@ class TestMainEntry:
             "--times 0.5,1.0 --profile-m 10 --seed 2",
             {
                 "model": "ising", "n": "4", "J": "0.5", "h_x": "2.0", "h_z": "0.1",
-                "alpha": "0.0", "beta": "1.0", "krylov_n": "5", "times": "(0.5, 1.0)",
-                "seed": "2", "profile_m": "10", "oracle_cap": "4096",
+                "alpha": "0.0", "beta": "1.0", "krylov_n": "5", "times": "0.5,1.0",
+                "seed": "2", "profile_m": "10",
             },
             [],
         ),
@@ -895,8 +912,8 @@ class TestMainEntry:
             {
                 "model": "toeplitz", "n": "20", "J": "1.0", "h_x": "1.0", "h_z": "0.5",
                 "alpha": "0.3", "beta": "2.0", "krylov_n": "6", "t_min": "0.0", "t_max": "1.0",
-                "points": "5", "seed": "1", "estimators": "('park_light', 'extra_site_exact')",
-                "band": "True", "oracle_cap": "4096",
+                "points": "5", "seed": "1", "estimators": "park_light,extra_site_exact",
+                "band": "True",
             },
             ["oracle_floor"],
         ),
@@ -914,7 +931,7 @@ class TestMainEntry:
             {
                 "model": "goe", "n": "32", "J": "1.0", "h_x": "1.0", "h_z": "0.5",
                 "alpha": "0.0", "beta": "1.0", "krylov_n": "8", "seed": "4",
-                "estimators": "('extra_site_hybrid',)", "tol": "1e-06", "t_final": "2.0",
+                "estimators": "extra_site_hybrid", "tol": "1e-06", "t_final": "2.0",
                 "oracle_cap": "64", "state_out": "{out}.kryv",
             },
             ["total_estimated_error", "infidelity_bound", "true_infidelity"],
@@ -934,6 +951,27 @@ class TestMainEntry:
             # The kind is stated once, in the header, and the state is where it says.
             assert "estimator_kind" not in header
             assert Path(comments["state_out"]).is_file()
+
+    @pytest.mark.parametrize("command", list(ECHOES))
+    def test_echo_options_rerun_as_a_config_file(self, tmp_path, command):
+        # The echo's option lines, saved as a config file, rerun the same
+        # experiment: the same echo and data rows, and for evolve the same
+        # state (wall_time, a measurement, aside).
+        args, _, results = self.ECHOES[command]
+        first, again, cfg_file = tmp_path / "first.csv", tmp_path / "again.csv", tmp_path / "run.cfg"
+        assert main(f"{args} --out {first}".split()) == 0
+        comments, header, rows = read_csv(first)
+        options = {key: value for key, value in comments.items() if key not in ("command", *results)}
+        cfg_file.write_text("".join(f"{key}={value}\n" for key, value in options.items()))
+        state = Path(comments["state_out"]).read_bytes() if command == "evolve" else None
+        assert main(f"{command} --config {cfg_file} --out {again}".split()) == 0
+        comments_again, header_again, rows_again = read_csv(again)
+        assert (comments_again, header_again) == (comments, header)
+        if command == "evolve":
+            assert Path(comments["state_out"]).read_bytes() == state
+            wall = header.index("wall_time")
+            rows, rows_again = ([row[:wall] + row[wall + 1 :] for row in r] for r in (rows, rows_again))
+        assert rows_again == rows
 
     # A failure before the oracle is needed: the estimate exceeds its budget
     # at the minimum step.
@@ -975,3 +1013,14 @@ class TestMainEntry:
         echoes = np.ones(11)
         t_exp, _ = measure_regime_times(ts, errors, echoes)
         assert np.isnan(t_exp)
+
+    def test_collapse_needs_an_error_above_the_plateau(self):
+        # A rounding-sized dip has a steepest drop but no collapse; the same
+        # dip with one error above the plateau level has its onset.
+        ts = np.linspace(0, 1, 11)
+        echoes = np.ones(11)
+        echoes[6:] -= 1e-13
+        errors = 1.0 - echoes
+        assert np.isnan(measure_regime_times(ts, errors, echoes)[1])
+        errors[-1] = 2 * cli.PLATEAU_LEVEL
+        assert measure_regime_times(ts, errors, echoes)[1] == ts[5]

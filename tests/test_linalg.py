@@ -473,12 +473,14 @@ class TestDenseOracle:
             oracle_infidelities(basis, ham, np.zeros((2, 2)))
         assert ham._dense_eigh is None
 
-    def test_oracle_cap_refused_before_any_work(self):
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    def test_non_finite_time_refused_before_any_apply(self, t):
+        # The sweep oracle refuses no dimension; it checks the times before any apply.
         op = CountingOperator(goe_sample(16, 1).matrix)
         basis = lanczos_iterate(op, random_state(16, 2), 4)
         applies = op.applies
-        with pytest.raises(ValueError, match="exact oracle refused: dimension 16 exceeds cap 8"):
-            oracle_infidelities(basis, op, [np.nan], cap=8)
+        with pytest.raises(ValueError, match="finite"):
+            oracle_infidelities(basis, op, [0.5, t])
         assert op.applies == applies and op._dense_eigh is None
 
 
