@@ -7,7 +7,7 @@ numeric echo), ``evolve`` (adaptive time stepping). The exact evolution of
 ``regimes``, ``snapshots`` and ``bounds`` comes from the Chebyshev
 propagator on the Ritz interval of the basis each command builds; ``evolve``
 checks its final state against the dense oracle, solved after the stepper
-has succeeded, within ``oracle_cap``.
+has succeeded, within ``linalg.MAX_DENSE_DIM``, which is not an option.
 Each option is declared once, as a field of ``ExperimentConfig``, and the
 parser is built from those fields. Values come from an optional flat
 ``key=value`` file plus command-line overrides, and ``_coerce`` parses every
@@ -38,7 +38,7 @@ from .estimators import (
 )
 from .lanczos import lanczos_iterate
 from .linalg import (
-    DEFAULT_ORACLE_CAP,
+    MAX_DENSE_DIM,
     ORACLE_FLOOR,
     DenseOperator,
     LinearOperator,
@@ -48,7 +48,7 @@ from .linalg import (
     basis_state,
     exact_evolve_dense,
 )
-from .models import MAX_ENSEMBLE_DIM, IsingParams, goe_sample, gue_sample, ising_operator, random_state
+from .models import IsingParams, goe_sample, gue_sample, ising_operator, random_state
 from .propagator import project_profile, true_infidelity
 from .stateio import write_state
 from .stepper import StepRecord, evolve_adaptive
@@ -125,7 +125,6 @@ class ExperimentConfig:
     )
     tol: float = _option(1e-8, help="total infidelity budget", commands=("evolve",))
     t_final: float = _option(100.0, commands=("evolve",))
-    oracle_cap: int = _option(DEFAULT_ORACLE_CAP, commands=("evolve",))
     out: str = _option("out.csv", help="output CSV path")
     state_out: str = _option("", help="final state path (KRYV1)", commands=("evolve",))
 
@@ -141,6 +140,8 @@ class ExperimentConfig:
                 raise ValueError(f"{key}={getattr(self, key)} must be finite")
         if not self.t_min < self.t_max:
             raise ValueError("t_min must be smaller than t_max")
+        if not self.estimators:
+            raise ValueError("estimators must name at least one estimator kind")
         for name in self.estimators:
             if name not in ESTIMATOR_NAMES:
                 raise ValueError(
@@ -213,13 +214,13 @@ def build_model(cfg: ExperimentConfig) -> tuple[LinearOperator, np.ndarray]:
     Random-matrix models draw the state with an offset seed so it is
     independent of the matrix entries. The toeplitz model starts at chain
     site 1, where the recurrence reproduces the homogeneous chain exactly.
-    A dense model (goe, gue, toeplitz) above ``MAX_ENSEMBLE_DIM`` is refused
+    A dense model (goe, gue, toeplitz) above ``MAX_DENSE_DIM`` is refused
     before its matrix is drawn or filled.
     """
     params = IsingParams(cfg.n, J=cfg.J, h_x=cfg.h_x, h_z=cfg.h_z) if cfg.model == "ising" else None
     dim = cfg.n if params is None else params.dim
-    if params is None and dim > MAX_ENSEMBLE_DIM:
-        raise ValueError(f"{cfg.model} dimension {dim} exceeds cap {MAX_ENSEMBLE_DIM}")
+    if params is None and dim > MAX_DENSE_DIM:
+        raise ValueError(f"{cfg.model} dimension {dim} exceeds cap {MAX_DENSE_DIM}")
     if cfg.model == "ising":
         return ising_operator(params), random_state(dim, cfg.seed)
     if cfg.model == "goe":
@@ -344,9 +345,7 @@ def cmd_bounds(cfg: ExperimentConfig) -> None:
     hamiltonian, psi = build_model(cfg)
     cfg = replace(cfg, krylov_n=min(cfg.krylov_n, hamiltonian.dim))
     basis = lanczos_iterate(hamiltonian, psi, cfg.krylov_n)
-    estimator_fns = {
-        name: bind_estimator(name, basis, hamiltonian) for name in cfg.estimators
-    }
+    estimator_fns = [bind_estimator(name, basis, hamiltonian) for name in cfg.estimators]
     ts = _grid(cfg)
     header = ["t", "oracle"]
     header += list(cfg.estimators)
@@ -354,7 +353,7 @@ def cmd_bounds(cfg: ExperimentConfig) -> None:
     if cfg.band:
         header += ["band_low", "band_high"]
     oracles = oracle_infidelities(basis, hamiltonian, ts)
-    estimates = [estimator_fns[name](ts) for name in cfg.estimators]
+    estimates = [estimate(ts) for estimate in estimator_fns]
     # A ratio over an oracle at its floor is roundoff, not a measurement: its cell is left empty.
     undefined = oracles <= ORACLE_FLOOR
     ratios = [np.where(undefined, None, est / np.where(undefined, 1.0, oracles)) for est in estimates]
@@ -377,12 +376,11 @@ def cmd_toeplitz(cfg: ExperimentConfig) -> None:
 def cmd_evolve(cfg: ExperimentConfig) -> None:
     """Adaptive evolution: step log CSV plus the final state as a KRYV1 file."""
     hamiltonian, psi = build_model(cfg)
-    kind = cfg.estimators[0] if cfg.estimators else "extra_site_exact"
-    report = evolve_adaptive(hamiltonian, psi, cfg.t_final, cfg.tol, cfg.krylov_n, kind=kind)
+    report = evolve_adaptive(hamiltonian, psi, cfg.t_final, cfg.tol, cfg.krylov_n, kind=cfg.estimators[0])
     # Echo what ran: the basis size (evolve_adaptive checks the requested
     # one), the one estimator and the state path written.
     cfg = replace(
-        cfg, krylov_n=min(cfg.krylov_n, hamiltonian.dim), estimators=(kind,),
+        cfg, krylov_n=min(cfg.krylov_n, hamiltonian.dim), estimators=cfg.estimators[:1],
         state_out=cfg.state_out or f"{cfg.out}.kryv",
     )
     write_state(cfg.state_out, report.final_state)
@@ -391,9 +389,9 @@ def cmd_evolve(cfg: ExperimentConfig) -> None:
         f"infidelity_bound={_fmt(report.infidelity_bound)}",
     ]
     # The dense oracle is solved only once the evolution has succeeded, and
-    # only within the cap; above it the line is left out, not refused.
-    if hamiltonian.dim <= cfg.oracle_cap:
-        exact = exact_evolve_dense(hamiltonian, psi, cfg.t_final, cap=cfg.oracle_cap)
+    # only within MAX_DENSE_DIM; above it the line is left out, not refused.
+    if hamiltonian.dim <= MAX_DENSE_DIM:
+        exact = exact_evolve_dense(hamiltonian, psi, cfg.t_final)
         results.append(f"true_infidelity={_fmt(true_infidelity(report.final_state, exact))}")
     rows = [(i, *astuple(step)) for i, step in enumerate(report.steps)]
     _write_csv(cfg, ["step", *(f.name for f in fields(StepRecord))], rows, *results)

@@ -172,8 +172,11 @@ def extra_site_band(basis: KrylovBasis, t) -> tuple:
     """Envelope of extra-site estimates over extreme history coefficients.
 
     Runs the averaged-style estimate with all four (min/max onsite) x
-    (min/max coupling) combinations and returns (low, high).
+    (min/max coupling) combinations and returns (low, high). A breakdown
+    basis evolves exactly, so both are exact zeros, as every estimator reads.
     """
+    if basis.breakdown:
+        return _zero(t), _zero(t)
     _require_history(basis)
     tri = basis.tridiag
     extremes = [(float(c.min()), float(c.max())) for c in (tri.diag, _coupling_history(basis))]

@@ -20,7 +20,7 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.blas import dgemm, dsymv
 
 __all__ = [
-    "DEFAULT_ORACLE_CAP",
+    "MAX_DENSE_DIM",
     "DenseOperator",
     "LinearOperator",
     "SymmetricTridiagonal",
@@ -30,8 +30,9 @@ __all__ = [
     "exact_evolve_dense",
 ]
 
-# The dense evolution oracle refuses dimensions above this unless overridden.
-DEFAULT_ORACLE_CAP = 4096
+# The one size rule for dense matrices: above this dimension no dense model
+# is built and no dense solve is run.
+MAX_DENSE_DIM = 4096
 # Size of one block of exact states the oracle forms at once.
 _ORACLE_BLOCK_BYTES = 1 << 20
 # Rows per panel in which the ensemble samplers symmetrize a draw and
@@ -121,7 +122,12 @@ class SymmetricTridiagonal:
         return self._derived[key]
 
     def to_dense(self) -> np.ndarray:
-        return np.diag(self.diag) + np.diag(self.offdiag, 1) + np.diag(self.offdiag, -1)
+        """The matrix in one array; each band entry is written as ``x + 0.0``, so a -0.0 reads +0.0."""
+        n = self.n
+        dense = np.zeros((n, n))
+        for start, band in ((0, self.diag), (1, self.offdiag), (n, self.offdiag)):
+            np.add(band, 0.0, out=dense.reshape(-1)[start :: n + 1])
+        return dense
 
     def eigen(self) -> TridiagonalEigen:
         """Cached spectral decomposition (computed once per instance)."""
@@ -232,7 +238,7 @@ class LinearOperator:
     The Chebyshev propagator, the oracle of the ``regimes``, ``bounds`` and
     ``snapshots`` commands, needs ``apply`` alone. ``dense_eigh`` exists for
     the dense oracle, :func:`exact_evolve_dense`, which ``evolve`` uses within
-    ``oracle_cap`` and the tests at modest dimensions; only it memoizes, and a
+    ``MAX_DENSE_DIM`` and the tests at modest dimensions; only it memoizes, and a
     subclass changes how it solves through the ``_eigh`` hook. The base hook
     solves ``to_dense``, one ``apply`` per column; the Ising chain overrides
     it with a sector solve that forms no dense matrix, so its ``to_dense``
@@ -341,26 +347,20 @@ def _check_hermitian(matrix: np.ndarray) -> None:
         raise ValueError("matrix is not Hermitian")
 
 
-def exact_evolve_dense(
-    hamiltonian: LinearOperator,
-    psi: np.ndarray,
-    t,
-    *,
-    cap: int = DEFAULT_ORACLE_CAP,
-) -> np.ndarray:
+def exact_evolve_dense(hamiltonian: LinearOperator, psi: np.ndarray, t) -> np.ndarray:
     """Evolve ``psi`` under ``exp(-i H t)`` via full eigendecomposition.
 
     This is the verification oracle: exact up to eigensolver accuracy, with
     O(dim^3) setup (cached on the operator) and O(dim^2) per time, in real
     arithmetic for a real operator. It is the propagator kernel with
     ``c = E^dagger psi``; an array ``t`` gives one state per time. The one
-    oracle with a size limit, it refuses dimensions above ``cap`` (``evolve``'s
-    ``oracle_cap``) and checks ``psi`` and ``t`` (finite, scalar or 1-D) before
-    the eigensolve.
+    oracle with a size limit, it refuses dimensions above ``MAX_DENSE_DIM``
+    and checks ``psi`` and ``t`` (finite, scalar or 1-D) before the
+    eigensolve.
     """
-    if hamiltonian.dim > cap:
+    if hamiltonian.dim > MAX_DENSE_DIM:
         raise ValueError(
-            f"exact oracle refused: dimension {hamiltonian.dim} exceeds cap {cap}; "
+            f"exact oracle refused: dimension {hamiltonian.dim} exceeds cap {MAX_DENSE_DIM}; "
             "the oracle exists for verification, not production evolution"
         )
     psi = np.ascontiguousarray(psi, dtype=np.complex128)

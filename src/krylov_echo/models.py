@@ -1,9 +1,9 @@
 """Test Hamiltonians and seeded initial states.
 
 The Ising chain is applied bitwise and never built dense, not even for the
-oracle; the random-matrix ensembles are dense by construction and capped,
-since they exist only to validate estimators. All samplers are pure functions
-of (size, seed).
+oracle; the random-matrix ensembles are dense by construction and capped at
+``linalg.MAX_DENSE_DIM``, since they exist only to validate estimators. All
+samplers are pure functions of (size, seed).
 """
 
 from __future__ import annotations
@@ -12,12 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _PANEL, DenseOperator, LinearOperator
+from .linalg import _PANEL, MAX_DENSE_DIM, DenseOperator, LinearOperator
 
 __all__ = [
     "IsingOperator",
     "IsingParams",
-    "MAX_ENSEMBLE_DIM",
     "MAX_ISING_SPINS",
     "goe_sample",
     "gue_sample",
@@ -26,7 +25,6 @@ __all__ = [
 ]
 
 MAX_ISING_SPINS = 20
-MAX_ENSEMBLE_DIM = 4096
 # Adjacent sites whose sx flips one apply treats as a single matmul.
 _GROUP = 3
 
@@ -182,8 +180,8 @@ def ising_operator(params: IsingParams) -> LinearOperator:
 def _check_ensemble_dim(dim: int) -> None:
     if dim < 2:
         raise ValueError("ensemble dimension must be >= 2")
-    if dim > MAX_ENSEMBLE_DIM:
-        raise ValueError(f"ensemble dimension {dim} exceeds cap {MAX_ENSEMBLE_DIM}")
+    if dim > MAX_DENSE_DIM:
+        raise ValueError(f"ensemble dimension {dim} exceeds cap {MAX_DENSE_DIM}")
 
 
 def _symmetrize(g: np.ndarray) -> None:

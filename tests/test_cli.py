@@ -127,6 +127,34 @@ class TestConfigHandling:
         assert "unknown estimator 'bogus'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command", ["bounds --points 5 --t-max 1", "evolve --t-final 1"], ids=["bounds", "evolve"]
+    )
+    def test_empty_estimator_list_refused(self, tmp_path, capsys, command):
+        # No estimator column to write, and no kind to step with.
+        cfg_file = tmp_path / "empty.cfg"
+        cfg_file.write_text("estimators=\n")
+        out = tmp_path / "never.csv"
+        assert main(f"{command} --model ising --n 4 --config {cfg_file} --out {out}".split()) == 1
+        assert "estimators must name at least one" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_oracle_cap_key_refused(self, tmp_path, capsys):
+        # The dense size rule is no option: an evolve echo that still carries
+        # oracle_cap=, rerun as a config file, names the unknown key.
+        first = tmp_path / "first.csv"
+        assert main(f"evolve --model ising --n 4 --t-final 1 --out {first}".split()) == 0
+        comments, _, _ = read_csv(first)
+        options = {f.name for f in cli._OPTIONS}
+        lines = [f"{key}={value}" for key, value in comments.items() if key in options]
+        lines.insert(lines.index("t_final=1.0") + 1, "oracle_cap=4096")
+        cfg_file = tmp_path / "old.cfg"
+        cfg_file.write_text("\n".join(lines) + "\n")
+        again = tmp_path / "again.csv"
+        assert main(f"evolve --config {cfg_file} --out {again}".split()) == 1
+        assert "unknown config key 'oracle_cap'" in capsys.readouterr().err
+        assert not again.exists()
+
     def test_unknown_model_names_it(self, capsys):
         assert main(["regimes", "--model", "nope"]) == 1
         assert "unknown model 'nope'" in capsys.readouterr().err
@@ -258,7 +286,7 @@ class TestRegimesCommand:
     )
     def test_sweep_above_the_dense_cap_runs(self, tmp_path, command):
         # The sweeps' oracle is matrix-free, so Ising n=13 (D=8192, twice
-        # the dense oracle's default cap) runs and echoes no cap it never read.
+        # MAX_DENSE_DIM) runs and echoes no cap.
         out = tmp_path / "big.csv"
         assert main(f"{command} --model ising --n 13 --krylov-n 8 --out {out}".split()) == 0
         comments, _, rows = read_csv(out)
@@ -283,13 +311,13 @@ class TestRegimesCommand:
 
         monkeypatch.setattr(cli, builder, never)
         out = tmp_path / "never.csv"
-        n = cli.MAX_ENSEMBLE_DIM + 1
+        n = cli.MAX_DENSE_DIM + 1
         assert main(f"{command} --model {model} --n {n} --out {out}".split()) == 1
-        assert f"{model} dimension {n} exceeds cap {cli.MAX_ENSEMBLE_DIM}" in capsys.readouterr().err
+        assert f"{model} dimension {n} exceeds cap {cli.MAX_DENSE_DIM}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_dense_model_size_cap_is_inclusive(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "MAX_ENSEMBLE_DIM", 8)
+        monkeypatch.setattr(cli, "MAX_DENSE_DIM", 8)
         args = "regimes --model toeplitz --krylov-n 4 --points 5 --t-max 1 --out {}"
         assert main(f"{args} --n 8".format(tmp_path / "at.csv").split()) == 0
         assert main(f"{args} --n 9".format(tmp_path / "above.csv").split()) == 1
@@ -531,6 +559,20 @@ class TestBoundsCommand:
         high = column(header, rows, "band_high")
         assert (low <= high).all()
 
+    @pytest.mark.parametrize("n", [1, 6], ids=["one-site", "full-chain"])
+    def test_band_reads_zero_on_a_breakdown_basis(self, tmp_path, n):
+        # A basis spanning the whole chain evolves exactly: the band, like
+        # every estimator, reads exact zeros.
+        out = tmp_path / "bounds.csv"
+        rc = main(
+            f"bounds --model toeplitz --n {n} --krylov-n {n} --points 3 --t-max 1 --band "
+            f"--estimator extra_site_exact --estimator park_light --out {out}".split()
+        )
+        assert rc == 0
+        _, header, rows = read_csv(out)
+        for name in ("band_low", "band_high", "extra_site_exact", "park_light"):
+            assert column(header, rows, name).tolist() == [0.0] * 3
+
     def test_ratios_resolved_at_short_times(self, tmp_path):
         # At these times the error lies far below 1e-16, yet above the
         # oracle floor; the oracle and the echo estimators resolve it with
@@ -745,7 +787,7 @@ COMMAND_FLAGS = {
     },
     "evolve": {
         **MODEL_FLAGS, **ESTIMATOR_FLAGS,
-        "--tol": "tol", "--t-final": "t_final", "--oracle-cap": "oracle_cap", "--state-out": "state_out",
+        "--tol": "tol", "--t-final": "t_final", "--state-out": "state_out",
     },
 }
 
@@ -790,10 +832,12 @@ class TestMainEntry:
             "evolve --points 5",
             "snapshots --t-max 3",
             "regimes --estimator park_light",
-            # Only evolve's dense solve reads a cap.
+            # The dense size rule is not an option of any subcommand.
             "regimes --oracle-cap 64",
             "bounds --oracle-cap 64",
             "snapshots --oracle-cap 64",
+            "toeplitz --oracle-cap 64",
+            "evolve --oracle-cap 64",
         ],
     )
     def test_flag_of_another_subcommand_exits_via_argparse(self, capsys, args):
@@ -840,18 +884,22 @@ class TestMainEntry:
         assert calls == [(np.float64, (size, size)) for size in sizes]
 
     @pytest.mark.parametrize(
-        "args, solves",
+        "args, solves, dense_dim",
         [
-            ("regimes --model ising --n 6 --points 21 --t-max 3", 0),
-            ("bounds --model goe --n 64 --krylov-n 10 --points 5 --t-max 1 --band", 0),
-            ("snapshots --model ising --n 6 --times 0,1,2", 0),
-            ("evolve --model ising --n 6 --t-final 5", 1),
-            # Above the cap, evolve still runs and leaves its oracle line out.
-            ("evolve --model ising --n 6 --t-final 5 --oracle-cap 32", 0),
+            ("regimes --model ising --n 6 --points 21 --t-max 3", 0, None),
+            ("bounds --model goe --n 64 --krylov-n 10 --points 5 --t-max 1 --band", 0, None),
+            ("snapshots --model ising --n 6 --times 0,1,2", 0, None),
+            ("evolve --model ising --n 6 --t-final 5", 1, None),
+            # Above MAX_DENSE_DIM, evolve still runs and leaves its oracle line out.
+            ("evolve --model ising --n 6 --t-final 5", 0, 32),
         ],
         ids=["regimes", "bounds", "snapshots", "evolve", "evolve-above-cap"],
     )
-    def test_oracle_solved_once_on_the_calling_thread(self, tmp_path, monkeypatch, args, solves):
+    def test_oracle_solved_once_on_the_calling_thread(
+        self, tmp_path, monkeypatch, args, solves, dense_dim
+    ):
+        if dense_dim is not None:
+            monkeypatch.setattr(cli, "MAX_DENSE_DIM", dense_dim)
         threads = []
         for cls in (IsingOperator, LinearOperator):
             def recording(self, eigh=cls._eigh):
@@ -927,12 +975,12 @@ class TestMainEntry:
         ),
         "evolve": (
             "evolve --model goe --n 32 --krylov-n 8 --seed 4 --estimator extra_site_hybrid "
-            "--estimator park_light --tol 1e-06 --t-final 2.0 --oracle-cap 64",
+            "--estimator park_light --tol 1e-06 --t-final 2.0",
             {
                 "model": "goe", "n": "32", "J": "1.0", "h_x": "1.0", "h_z": "0.5",
                 "alpha": "0.0", "beta": "1.0", "krylov_n": "8", "seed": "4",
                 "estimators": "extra_site_hybrid", "tol": "1e-06", "t_final": "2.0",
-                "oracle_cap": "64", "state_out": "{out}.kryv",
+                "state_out": "{out}.kryv",
             },
             ["total_estimated_error", "infidelity_bound", "true_infidelity"],
         ),

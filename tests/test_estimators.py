@@ -295,6 +295,14 @@ class TestCrossEstimatorProperties:
         low, high = extra_site_band(basis, 3.0)
         assert abs(high - low) <= 1e-12
 
+    @pytest.mark.parametrize("n", [1, 6], ids=["one-site", "full-chain"])
+    def test_band_is_exact_zero_on_a_breakdown_basis(self, n):
+        basis = homogeneous_basis(n, dim=n)
+        assert basis.breakdown
+        low, high = extra_site_band(basis, [0.0, 0.5, 1.0])
+        assert low.tolist() == high.tolist() == [0.0] * 3
+        assert extra_site_band(basis, 0.5) == (0.0, 0.0)
+
     def test_oracle_estimate_matches_direct(self, ising_setup):
         ham, psi, basis, _ = ising_setup
         t = 1.8

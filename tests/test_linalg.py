@@ -133,10 +133,14 @@ class TestExactEvolveDense:
         out = exact_evolve_dense(op, psi, 17.0)
         assert abs(np.linalg.norm(out) - 1.0) <= 1e-11
 
-    def test_cap_refusal(self):
+    def test_cap_refusal(self, monkeypatch):
+        # The one size rule, refused before the eigensolve.
+        monkeypatch.setattr(linalg, "MAX_DENSE_DIM", 4)
         op = DenseOperator(np.eye(8))
-        with pytest.raises(ValueError, match="oracle"):
-            exact_evolve_dense(op, basis_state(8), 1.0, cap=4)
+        with pytest.raises(ValueError, match="exact oracle refused: dimension 8 exceeds cap 4"):
+            exact_evolve_dense(op, basis_state(8), 1.0)
+        assert op._dense_eigh is None
+        assert exact_evolve_dense(DenseOperator(np.eye(4)), basis_state(4), 1.0).shape == (4,)
 
     @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
     def test_non_finite_time_rejected(self, t):
@@ -653,6 +657,25 @@ class TestSymmetricTridiagonal:
     def test_to_dense_layout(self):
         tri = SymmetricTridiagonal([1.0, 2.0], [0.25])
         assert np.array_equal(tri.to_dense(), [[1.0, 0.25], [0.25, 2.0]])
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    @pytest.mark.parametrize("value", [-0.0, 0.0, -1.5])
+    def test_to_dense_is_the_three_band_sum_bit_for_bit(self, n, value):
+        # The sum of three diagonal matrices turns each -0.0 band entry into +0.0.
+        tri = SymmetricTridiagonal(np.full(n, value), np.full(n - 1, value))
+        summed = np.diag(tri.diag) + np.diag(tri.offdiag, 1) + np.diag(tri.offdiag, -1)
+        assert tri.to_dense().tobytes() == summed.tobytes()
+
+    def test_to_dense_peak_is_one_matrix(self):
+        n = 512
+        tri = SymmetricTridiagonal(np.full(n, 0.3), np.full(n - 1, 2.0))
+        tracemalloc.start()
+        try:
+            tri.to_dense()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * n * n * 8
 
 
 class TestStateHelpers:

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import hermiticity_defect, ising_dense_oracle
 
+from krylov_echo import models
 from krylov_echo.linalg import _PANEL, LinearOperator, basis_state
 from krylov_echo.models import (
     IsingOperator,
@@ -355,6 +356,13 @@ class TestEnsembles:
             goe_sample(1, 0)
         with pytest.raises(ValueError, match="cap"):
             gue_sample(5000, 0)
+
+    @pytest.mark.parametrize("sample", [goe_sample, gue_sample])
+    def test_dimension_cap_is_the_dense_rule_and_inclusive(self, monkeypatch, sample):
+        monkeypatch.setattr(models, "MAX_DENSE_DIM", 8)
+        assert sample(8, 0).dim == 8
+        with pytest.raises(ValueError, match="ensemble dimension 9 exceeds cap 8"):
+            sample(9, 0)
 
 
 class TestRandomState:
