@@ -352,14 +352,15 @@ def cmd_bounds(cfg: ExperimentConfig) -> None:
     header += [f"ratio_{name}" for name in cfg.estimators]
     if cfg.band:
         header += ["band_low", "band_high"]
-    oracles = oracle_infidelities(basis, hamiltonian, ts)
+    # The estimators and the band run first: one that refuses the basis
+    # does so before the oracle's applies.
     estimates = [estimate(ts) for estimate in estimator_fns]
+    band = extra_site_band(basis, ts) if cfg.band else []
+    oracles = oracle_infidelities(basis, hamiltonian, ts)
     # A ratio over an oracle at its floor is roundoff, not a measurement: its cell is left empty.
     undefined = oracles <= ORACLE_FLOOR
     ratios = [np.where(undefined, None, est / np.where(undefined, 1.0, oracles)) for est in estimates]
-    columns = [ts, oracles, *estimates, *ratios]
-    if cfg.band:
-        columns += extra_site_band(basis, ts)
+    columns = [ts, oracles, *estimates, *ratios, *band]
     _write_csv(cfg, header, zip(*columns), f"oracle_floor={_fmt(ORACLE_FLOOR)}")
 
 

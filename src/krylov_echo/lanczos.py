@@ -30,19 +30,22 @@ is the model of partial reorthogonalization, which lets the overlaps grow
 to sqrt(u), about 1e-8, before it corrects them; here the gate is 1e-13,
 and every measured step is the full measure-update-DGKS pass above.
 
-A step works in place on the fresh ``apply`` output: the two recurrence
-terms are subtracted from it by axpy, and each Gram-Schmidt pass is one or
-two BLAS matrix-vector products on the stored basis. On the adaptive runs
-of a 14-spin chain about 40 % of the steps skip the measurement, most
-measured ones skip the update, and an update reads only its span, so a step
-reads the basis about 0.76 times rather than 1.35, and it makes no
-vector-sized temporary. A caller that builds many bases, such as the
-adaptive stepper, passes one buffer to every build, so no basis is allocated
-after the first.
+A step works in the next row of the basis: ``apply`` writes ``H v_j``
+straight into row j+1, where the two recurrence terms are subtracted by one
+zgemv over rows j-1..j, each Gram-Schmidt pass is one or two BLAS
+matrix-vector products on the stored basis, and one multiply by ``1/beta``
+normalizes. Every norm is ``sqrt(<w, w>)``, one contiguous pass. On the
+adaptive runs of a 14-spin chain about 40 % of the steps skip the
+measurement, most measured ones skip the update, and an update reads only
+its span, so a step reads the basis about 0.76 times rather than 1.35. A
+step makes no vector-sized temporary of its own; the Ising apply takes one
+work vector. A caller that builds many bases, such as the adaptive stepper,
+passes one buffer to every build, so no basis is allocated after the first.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,9 +82,10 @@ class KrylovBasis:
     ``residual_beta`` couples the last stored chain site to the next one; 0.0
     marks ``breakdown``: the residual vanished, the stored span is invariant
     and evolution inside it is exact. ``vectors`` leads ``buffer``, whose row
-    ``size`` holds the next Lanczos vector (unless broken down), followed in
-    a fresh basis by at least one spare row that :func:`extend_one` fills in
-    place instead of copying the basis. ``buffer`` is allocated by
+    ``size`` holds the next Lanczos vector (on breakdown, the unnormalized
+    residual the step built there), followed in a fresh basis by at least
+    one spare row that :func:`extend_one` fills in place instead of copying
+    the basis. ``buffer`` is allocated by
     :func:`lanczos_iterate` or passed to it by the caller, who may reuse it
     once done with the basis. A basis made with ``buffer=None`` cannot grow.
     """
@@ -105,18 +109,22 @@ class KrylovBasis:
         return self.residual_beta == 0.0
 
 
-def _reorthogonalize(
-    w: np.ndarray, vecs: np.ndarray, norm: float | None = None
-) -> tuple[np.ndarray, float]:
+def _norm(w: np.ndarray) -> float:
+    """``||w||`` as ``sqrt(<w, w>)``: one contiguous pass."""
+    return math.sqrt(np.vdot(w, w).real)
+
+
+def _reorthogonalize(w: np.ndarray, vecs: np.ndarray, norm: float | None = None) -> float:
     # One Gram-Schmidt pass, a second if the DGKS test fails (see the module
-    # docstring); returns w, overwritten, and its norm (passed in when known).
-    # Each pass is a zgemv on the Fortran-ordered view vecs.T measuring V^H w
-    # (trans=2, no conjugate copy), then, unless every projection is within
-    # ORTHO_RTOL, a second one writing w - V[lo:hi] c[lo:hi] into w itself,
-    # over the columns lo..hi-1 that span the projections above it.
+    # docstring); overwrites w in place and returns its norm (passed in when
+    # known). Each pass is a zgemv on the Fortran-ordered view vecs.T
+    # measuring V^H w (trans=2, no conjugate copy), then, unless every
+    # projection is within ORTHO_RTOL, a second one writing
+    # w - V[lo:hi] c[lo:hi] into w itself, over the columns lo..hi-1 that
+    # span the projections above it.
     basis = vecs.T
     if norm is None:
-        norm = float(np.linalg.norm(w))
+        norm = _norm(w)
     for _ in range(2):
         coeffs = zgemv(1.0, basis, w, trans=2)
         sizes = np.abs(coeffs)
@@ -124,11 +132,11 @@ def _reorthogonalize(
             break
         flagged = np.flatnonzero(sizes > ORTHO_RTOL * norm)
         lo, hi = flagged[0], flagged[-1] + 1
-        w = zgemv(-1.0, basis[:, lo:hi], coeffs[lo:hi], beta=1.0, y=w, overwrite_y=True)
-        before, norm = norm, float(np.linalg.norm(w))
+        zgemv(-1.0, basis[:, lo:hi], coeffs[lo:hi], beta=1.0, y=w, overwrite_y=True)
+        before, norm = norm, _norm(w)
         if norm * np.sqrt(2.0) >= before:
             break
-    return w, norm
+    return norm
 
 
 class _OverlapModel:
@@ -199,28 +207,33 @@ def _recurrence_step(
     """Recurrence at chain site ``j`` of ``vecs``, which ``beta`` couples to site j-1.
 
     Returns its onsite energy, the residual coupling (0.0 on breakdown) and
-    ``scale``, the largest coefficient magnitude, updated; writes the next
-    Lanczos vector, the normalized residual, into ``vecs[j + 1]`` unless 0.0.
-    The residual is reorthogonalized unless ``overlaps`` models it within
-    ``OMEGA_GATE``; without a model it always is.
+    ``scale``, the largest coefficient magnitude, updated. The residual is
+    built in ``vecs[j + 1]`` itself: ``v_j`` is applied straight into that
+    row, the two recurrence terms are subtracted there by one zgemv over rows
+    j-1..j, and the row is normalized in place, unless the coupling is 0.0,
+    when it keeps the unnormalized residual. The residual is reorthogonalized
+    unless ``overlaps`` models it within ``OMEGA_GATE``; without a model it
+    always is.
     """
-    w = hamiltonian.apply(vecs[j])
-    if np.may_share_memory(w, vecs):  # w is overwritten below; an apply may return its input
-        w = w.copy()
-    alpha = np.vdot(vecs[j], w).real
-    w = zaxpy(vecs[j], w, a=-alpha)
-    if j > 0:
-        w = zaxpy(vecs[j - 1], w, a=-beta)
-    residual_beta = float(np.linalg.norm(w))
+    v, w = vecs[j], vecs[j + 1]
+    if hamiltonian.apply(v, out=w) is not w:
+        raise ValueError("apply(vec, out=...) must write into out and return it")
+    alpha = np.vdot(v, w).real
+    if j:
+        zgemv(-1.0, vecs[j - 1 : j + 1].T, np.array([beta, alpha]), beta=1.0, y=w, overwrite_y=True)
+    else:
+        zaxpy(v, w, a=-alpha)
+    residual_beta = _norm(w)
     if overlaps is None or overlaps.needs_measurement(j, alpha, beta, residual_beta):
-        w, residual_beta = _reorthogonalize(w, vecs[: j + 1], residual_beta)
+        residual_beta = _reorthogonalize(w, vecs[: j + 1], residual_beta)
         if overlaps is not None:
             overlaps.reset(j)
     scale = max(scale, abs(alpha))
     if residual_beta <= BREAKDOWN_RTOL * scale:
         return alpha, 0.0, scale
-    # Real division of each component: correctly rounded, and faster than complex division.
-    np.divide(w.view(np.float64), residual_beta, out=vecs[j + 1].view(np.float64))
+    # One real multiply per component, on the float64 view.
+    parts = w.view(np.float64)
+    parts *= 1.0 / residual_beta
     return alpha, residual_beta, max(scale, residual_beta)
 
 

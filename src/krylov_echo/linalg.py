@@ -231,10 +231,14 @@ def _overlaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class LinearOperator:
     """Hermitian operator of dimension ``dim`` with an apply-to-vector contract.
 
-    Subclasses implement :meth:`apply`. The operator must be linear and
-    Hermitian; shared state is read-only after construction. The caller
-    owns what ``apply`` returns: the Lanczos step and the Chebyshev
-    propagator overwrite it.
+    Subclasses implement :meth:`apply` in the numpy idiom: given ``out``,
+    it writes ``H vec`` into ``out`` and returns ``out`` itself; without
+    one it returns a fresh vector, which the caller owns and may overwrite.
+    ``out`` must be a writable C-contiguous complex128 vector of ``dim``
+    entries sharing no memory with ``vec`` (:meth:`_operands` checks it).
+    The Lanczos step applies each vector straight into the next row of its
+    basis. The operator must be linear and Hermitian; shared state is
+    read-only after construction.
     The Chebyshev propagator, the oracle of the ``regimes``, ``bounds`` and
     ``snapshots`` commands, needs ``apply`` alone. ``dense_eigh`` exists for
     the dense oracle, :func:`exact_evolve_dense`, which ``evolve`` uses within
@@ -252,8 +256,27 @@ class LinearOperator:
         self.dim = int(dim)
         self._dense_eigh: tuple[np.ndarray, np.ndarray] | None = None
 
-    def apply(self, vec: np.ndarray) -> np.ndarray:
+    def apply(self, vec: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         raise NotImplementedError
+
+    def _operands(self, vec, out: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+        """``vec`` as a contiguous complex128 vector of ``dim``, and ``out`` checked (fresh when None)."""
+        vec = np.ascontiguousarray(vec, dtype=np.complex128)
+        if vec.shape != (self.dim,):
+            raise ValueError(f"vector shape {vec.shape} does not match dim {self.dim}")
+        if out is None:
+            return vec, np.empty_like(vec)
+        if not (
+            isinstance(out, np.ndarray)
+            and out.dtype == np.complex128
+            and out.shape == vec.shape
+            and out.flags.c_contiguous
+            and out.flags.writeable
+        ):
+            raise ValueError(f"out must be a writable C-contiguous complex128 vector of {self.dim}")
+        if np.may_share_memory(vec, out):
+            raise ValueError("out must not share memory with vec")
+        return vec, out
 
     def to_dense(self) -> np.ndarray:
         """Materialized matrix, one ``apply`` per column; float64 when every entry is real."""
@@ -301,18 +324,16 @@ class DenseOperator(LinearOperator):
         dtype = np.complex128 if np.iscomplexobj(matrix) else np.float64
         self.matrix = np.ascontiguousarray(matrix, dtype=dtype)
 
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        vec = np.asarray(vec, dtype=np.complex128)
-        if vec.shape != (self.dim,):
-            raise ValueError(f"vector shape {vec.shape} does not match dim {self.dim}")
+    def apply(self, vec: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        vec, out = self._operands(vec, out)
         if self.matrix.dtype != np.float64:
-            return (self.matrix @ vec[:, None])[:, 0]
+            np.matmul(self.matrix, vec[:, None], out=out[:, None])
+            return out
         # The wrapper passes the F-contiguous view uncopied, and reads its
         # upper triangle, the matrix's lower one. It copies each strided part
         # of the vector to a contiguous one, on which dsymv runs about four
         # times faster than on the stride-2 float64 view.
         lower = self.matrix.T
-        out = np.empty_like(vec)
         out.real = dsymv(1.0, lower, vec.real)
         out.imag = dsymv(1.0, lower, vec.imag)
         return out

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dgemm
 
 from .linalg import _PANEL, MAX_DENSE_DIM, DenseOperator, LinearOperator
 
@@ -25,8 +26,10 @@ __all__ = [
 ]
 
 MAX_ISING_SPINS = 20
-# Adjacent sites whose sx flips one apply treats as a single matmul.
-_GROUP = 3
+# Adjacent sites whose sx flips one apply treats as a single matmul: the
+# lowest _LOW_BITS, then groups of at most _GROUP_BITS.
+_LOW_BITS = 3
+_GROUP_BITS = 4
 
 
 @dataclass(frozen=True)
@@ -67,13 +70,14 @@ class IsingOperator(LinearOperator):
 
     Basis index b encodes the spins bitwise: bit k = 0 means sz eigenvalue +1
     at site k+1. sz terms are a precomputed diagonal. The sx terms act in
-    groups of up to three adjacent sites: within a group at bits lo..lo+b-1
-    the flips sum to one 2^b x 2^b 0/1 matrix, applied as a single real
-    matmul on the float64 view of the vector (real and imaginary parts
-    alike), so one apply costs O(n 2^n) in about n/3 BLAS passes. The chain
-    is unchanged, bit for bit, when its spin order is reversed, so the dense
-    oracle is solved on two reflection-sector blocks written from the flips
-    (:meth:`_eigh`).
+    groups of adjacent sites: the lowest three, then groups of at most four
+    (3,4,4,3 at n = 14, 3,4,3 at n = 10). Within a group at bits
+    lo..lo+b-1 the flips sum to one 2^b x 2^b 0/1 matrix, scaled by h_x at
+    construction and applied as a single real matmul on the float64 view of
+    the vector (real and imaginary parts alike), so one apply costs
+    O(n 2^n) in about n/4 BLAS passes. The chain is unchanged, bit for bit,
+    when its spin order is reversed, so the dense oracle is solved on two
+    reflection-sector blocks written from the flips (:meth:`_eigh`).
     """
 
     def __init__(self, params: IsingParams):
@@ -85,7 +89,7 @@ class IsingOperator(LinearOperator):
         # for d down spins and w domain walls. Both counts are exact and
         # survive reversing the chain, so the diagonal does too, bit for bit;
         # a float sum over sites does not, in its last bits.
-        n, idx = params.n_spins, np.arange(self.dim)
+        n, idx, h_x = params.n_spins, np.arange(self.dim), params.h_x
         walls = np.bitwise_count((idx ^ (idx >> 1)) & ((1 << (n - 1)) - 1))
         bonds = (n - 1) - 2.0 * walls
         diag = params.h_z * (n - 2.0 * np.bitwise_count(idx)) - params.J * bonds
@@ -93,29 +97,37 @@ class IsingOperator(LinearOperator):
         # diagonal multiplies the float64 view of a vector in one pass.
         self._diag_pairs = np.repeat(diag, 2)
         # The lowest group right-multiplies rows of (re, im) pairs, hence the
-        # kron with I2; a group at bit lo left-multiplies the view reshaped to
-        # (-1, 2^b, 2 * 2^lo).
-        sizes = [(lo, min(_GROUP, n - lo)) for lo in range(0, n, _GROUP)]
-        b = sizes[0][1]
-        self._low_group = (2 << b, np.kron(_flip_sum(b), np.eye(2)))
-        self._groups = [(1 << b, 2 << lo, _flip_sum(b)) for lo, b in sizes[1:]]
+        # kron with I2; a group of b bits at bit lo left-multiplies the view
+        # reshaped to (-1, 2^b, 2 * 2^lo), which for the highest group is
+        # one 2-D block. Every flip matrix is symmetric.
+        low = min(_LOW_BITS, n)
+        self._low_flips = h_x * np.kron(_flip_sum(low), np.eye(2))
+        sizes = [(lo, min(_GROUP_BITS, n - lo)) for lo in range(low, n, _GROUP_BITS)]
+        groups = [(1 << b, 2 << lo, h_x * _flip_sum(b)) for lo, b in sizes]
+        self._top = groups.pop() if groups else None
+        self._middle = groups
 
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        vec = np.ascontiguousarray(vec, dtype=np.complex128)
-        if vec.shape != (self.dim,):
-            raise ValueError(f"vector shape {vec.shape} does not match dim {self.dim}")
-        out, tmp = np.empty_like(vec), np.empty_like(vec)
-        src, acc, part = vec.view(np.float64), out.view(np.float64), tmp.view(np.float64)
-        width, flips = self._low_group
-        np.matmul(src.reshape(-1, width), flips, out=acc.reshape(-1, width))
-        for rows, cols, flips in self._groups:
-            np.matmul(flips, src.reshape(-1, rows, cols), out=part.reshape(-1, rows, cols))
-            acc += part
-        acc *= self.params.h_x
+    def apply(self, vec: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        vec, out = self._operands(vec, out)
+        src, acc = vec.view(np.float64), out.view(np.float64)
         # One contiguous multiply on the float64 view: each real and imaginary
         # part meets its diagonal entry, the same product as part by part.
-        np.multiply(src, self._diag_pairs, out=part)
-        acc += part
+        np.multiply(src, self._diag_pairs, out=acc)
+        # The lowest and the highest group add their products into out by
+        # dgemm on the F-ordered (transposed) views, with no copy; a middle
+        # group is a batch of products, made in the one work vector.
+        width = self._low_flips.shape[0]
+        rows = src.reshape(-1, width).T
+        dgemm(1.0, self._low_flips.T, rows, beta=1.0, c=acc.reshape(-1, width).T, overwrite_c=True)
+        if self._middle:
+            part = np.empty_like(src)
+            for size, cols, flips in self._middle:
+                np.matmul(flips, src.reshape(-1, size, cols), out=part.reshape(-1, size, cols))
+                acc += part
+        if self._top is not None:
+            size, cols, flips = self._top
+            block = src.reshape(size, cols).T
+            dgemm(1.0, block, flips.T, beta=1.0, c=acc.reshape(size, cols).T, overwrite_c=True)
         return out
 
     def _eigh(self) -> tuple[np.ndarray, np.ndarray]:

@@ -466,6 +466,22 @@ class TestSnapshotsCommand:
 
 
 class TestBoundsCommand:
+    @pytest.mark.parametrize(
+        "extra", ["", "--estimator extra_site_exact --band"], ids=["estimators", "band"]
+    )
+    def test_refused_basis_is_refused_before_the_oracle(self, tmp_path, capsys, monkeypatch, extra):
+        # A one-vector basis that does not break down: the Chebyshev oracle
+        # to t = 60 would take about 4000 GOE applies before the refusal.
+        def never(*args):
+            raise AssertionError("the oracle ran before the estimators checked the basis")
+
+        monkeypatch.setattr(cli, "oracle_infidelities", never)
+        out = tmp_path / "never.csv"
+        argv = f"bounds --model goe --n 1024 --krylov-n 1 --points 2 --t-max 60 {extra} --out {out}"
+        assert main(argv.split()) == 1
+        assert "basis of size >= 2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_homogeneous_estimators_coincide(self, tmp_path):
         out = tmp_path / "bounds.csv"
         rc = main(

@@ -59,19 +59,63 @@ class TestTrivialSystems:
 
 
 class Identity(LinearOperator):
-    """Returns its input itself, as an operator may."""
+    """Returns its input itself when no ``out`` is given, as an operator may."""
 
-    def apply(self, vec):
+    def apply(self, vec, out=None):
+        if out is None:
+            return vec
+        np.copyto(out, vec)
+        return out
+
+
+class IgnoresOut(LinearOperator):
+    """Accepts ``out`` but returns its input instead: it breaks the apply contract."""
+
+    def apply(self, vec, out=None):
         return vec
 
 
-class TestAliasedApply:
+class TestApplyIntoTheNextRow:
     def test_basis_survives_an_apply_that_returns_its_input(self):
+        # The step applies v_0 into row 1, so the stored v_0 is never the output.
         psi = random_state(8, 3)
-        basis = lanczos_iterate(Identity(8), psi, 2)
+        basis = lanczos_iterate(Identity(8), psi, 2, buffer=np.full((4, 8), np.nan, dtype=complex))
         assert basis.breakdown and basis.size == 1
         assert np.allclose(basis.vectors[0], psi, atol=1e-15)
         assert basis.tridiag.diag[0] == pytest.approx(1.0, abs=1e-15)
+        # On breakdown the next row holds the unnormalized residual, here 0 to roundoff.
+        assert np.abs(basis.buffer[1]).max() <= 1e-15
+
+    def test_apply_that_ignores_out_is_refused(self):
+        with pytest.raises(ValueError, match="write into out"):
+            lanczos_iterate(IgnoresOut(8), random_state(8, 3), 2)
+
+    def test_recurrence_writes_only_the_next_row(self):
+        ham = ising_operator(IsingParams(8))
+        basis = lanczos_iterate(ham, random_state(ham.dim, 4), 5)
+        buffer = np.full((9, ham.dim), np.nan, dtype=complex)
+        buffer[:6] = basis.buffer[:6]
+        lanczos._recurrence_step(ham, buffer, 5, basis.residual_beta, 10.0)
+        assert np.array_equal(buffer[:6], basis.buffer[:6]) and np.isnan(buffer[7:]).all()
+        assert abs(vdot_norm(buffer[6]) - 1.0) <= 1e-14
+
+    @pytest.mark.parametrize("n_spins", [10, 12])
+    def test_step_allocates_at_most_the_apply_work_vector(self, n_spins):
+        # The recurrence, both Gram-Schmidt passes and the normalization run
+        # in the buffer row; only the Ising apply's middle groups take one
+        # work vector.
+        ham = ising_operator(IsingParams(n_spins))
+        basis = lanczos_iterate(ham, random_state(ham.dim, 5), 20)
+        args = (ham, basis.buffer, 20, basis.residual_beta, 10.0)
+        lanczos._recurrence_step(*args)  # load the BLAS wrappers outside the measurement
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            lanczos._recurrence_step(*args)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * ham.dim * 16
 
 
 class TestContractErrors:
@@ -202,9 +246,10 @@ class TestReorthogonalize:
         raw = rng.standard_normal((dim, k)) + 1j * rng.standard_normal((dim, k))
         vecs = np.linalg.qr(raw)[0].T
         r = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        w, norm = _reorthogonalize(vecs[0] + 1e-10 * r / np.linalg.norm(r), vecs)
+        w = vecs[0] + 1e-10 * r / np.linalg.norm(r)
+        norm = _reorthogonalize(w, vecs)
         assert np.abs(vecs.conj() @ w).max() <= 1e-14 * norm
-        assert norm == np.linalg.norm(w)
+        assert norm == vdot_norm(w)
 
     def test_pass_allocates_no_vector(self):
         # A copy of w, or of its conjugate, would be a whole D-vector.
@@ -217,13 +262,26 @@ class TestReorthogonalize:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            out, _ = _reorthogonalize(w, vecs)
+            _reorthogonalize(w, vecs)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
         assert peak < 0.1 * dim * 16
-        assert np.shares_memory(out, w)
-        assert np.abs(vecs.conj() @ out).max() <= 1e-13 * np.linalg.norm(out)
+        assert np.abs(vecs.conj() @ w).max() <= 1e-13 * np.linalg.norm(w)
+
+
+def vdot_norm(w):
+    """``||w||`` as the step takes it: ``sqrt(<w, w>)``."""
+    return np.sqrt(np.vdot(w, w).real)
+
+
+def recurrence_call(x) -> bool:
+    """Whether a plain zgemv of the step subtracts its recurrence terms.
+
+    Those coefficients are a fresh ``[beta, alpha]``; a Gram-Schmidt update
+    passes a slice of the measured projections.
+    """
+    return x.base is None
 
 
 def orthonormal_rows(rng, dim, k):
@@ -248,19 +306,18 @@ class TestProjectionSkip:
         w = orthogonal_residual(rng, vecs)
         assert np.abs(vecs.conj() @ w).max() <= ORTHO_RTOL * np.linalg.norm(w)
         before = w.copy()
-        out, norm = _reorthogonalize(w, vecs)
-        assert out is w
-        assert np.array_equal(out.view(np.float64), before.view(np.float64))
-        assert norm == np.linalg.norm(before)
+        norm = _reorthogonalize(w, vecs)
+        assert np.array_equal(w.view(np.float64), before.view(np.float64))
+        assert norm == vdot_norm(before)
 
     def test_projection_above_threshold_is_removed(self):
         rng = np.random.default_rng(7)
         vecs = orthonormal_rows(rng, 512, 20)
         w = orthogonal_residual(rng, vecs)
         w += 10 * ORTHO_RTOL * np.linalg.norm(w) * vecs[3]
-        out, norm = _reorthogonalize(w, vecs)
-        assert np.abs(vecs.conj() @ out).max() <= 1e-14 * norm
-        assert norm == np.linalg.norm(out)
+        norm = _reorthogonalize(w, vecs)
+        assert np.abs(vecs.conj() @ w).max() <= 1e-14 * norm
+        assert norm == vdot_norm(w)
 
     @pytest.mark.parametrize(
         "make",
@@ -273,14 +330,20 @@ class TestProjectionSkip:
         measured, updated = [], []
         zgemv = lanczos.zgemv
 
-        def counting_zgemv(*args, **kwargs):
-            (measured if kwargs.get("trans") == 2 else updated).append(1)
-            return zgemv(*args, **kwargs)
+        recurrences = []
+
+        def counting_zgemv(alpha, a, x, **kwargs):
+            if kwargs.get("trans") == 2:
+                measured.append(1)
+            else:
+                (recurrences if recurrence_call(x) else updated).append(1)
+            return zgemv(alpha, a, x, **kwargs)
 
         monkeypatch.setattr(lanczos, "zgemv", counting_zgemv)
         ham = make()
         basis = lanczos_iterate(ham, random_state(ham.dim, 11), 80)
         assert basis.size == 80
+        assert len(recurrences) == 79  # every step after the first
         assert 0 < len(updated) < len(measured)
         gram = basis.vectors.conj() @ basis.vectors.T
         assert np.abs(gram - np.eye(80)).max() <= 1e-13
@@ -294,8 +357,8 @@ class Diagonal(LinearOperator):
         super().__init__(values.size)
         self.values = values
 
-    def apply(self, vec):
-        return self.values * vec
+    def apply(self, vec, out=None):
+        return np.multiply(self.values, vec, out=out)
 
 
 def build_checking_skips(monkeypatch, ham, psi, n):
@@ -348,12 +411,18 @@ class TestOverlapGate:
         measures, updates = [], []
         zgemv = lanczos.zgemv
 
+        recurrences = []
+
         def recording_zgemv(alpha, a, x, **kwargs):
             if kwargs.get("trans") == 2:
                 coeffs = zgemv(alpha, a, x, **kwargs)
-                flagged = np.flatnonzero(np.abs(coeffs) > ORTHO_RTOL * np.linalg.norm(x))
+                flagged = np.flatnonzero(np.abs(coeffs) > ORTHO_RTOL * vdot_norm(x))
                 measures.append((a, coeffs, flagged))
                 return coeffs
+            if recurrence_call(x):
+                assert a.shape[1] == x.size == 2
+                recurrences.append(1)
+                return zgemv(alpha, a, x, **kwargs)
             basis, coeffs, flagged = measures[-1]
             lo, hi = flagged[0], flagged[-1] + 1
             assert a.shape == (basis.shape[0], hi - lo)
@@ -366,6 +435,7 @@ class TestOverlapGate:
         ham = ising_operator(IsingParams(12))
         n = 30
         lanczos_iterate(ham, random_state(ham.dim, 1), n)
+        assert len(recurrences) == n - 1
         assert len(measures) < 0.6 * n
         assert updates
 
@@ -383,11 +453,11 @@ class TestOverlapGate:
             return zgemv(alpha, a, x, **kwargs)
 
         monkeypatch.setattr(lanczos, "zgemv", recording_zgemv)
-        out, norm = _reorthogonalize(w, vecs)
+        norm = _reorthogonalize(w, vecs)
         assert len(updates) == 1
         assert updates[0].shape == (512, 5)
         assert np.shares_memory(updates[0], vecs[3:8]) and np.array_equal(updates[0], vecs[3:8].T)
-        assert np.abs(vecs.conj() @ out).max() <= ORTHO_RTOL * norm
+        assert np.abs(vecs.conj() @ w).max() <= ORTHO_RTOL * norm
 
 
 class TestExtendOne:

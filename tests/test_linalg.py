@@ -178,9 +178,9 @@ class CountingOperator(DenseOperator):
 
     applies = 0
 
-    def apply(self, vec):
+    def apply(self, vec, out=None):
         self.applies += 1
-        return super().apply(vec)
+        return super().apply(vec, out)
 
 
 class TestChebyshevPropagator:
@@ -495,8 +495,8 @@ class MatrixFreeOperator(LinearOperator):
         super().__init__(matrix.shape[0])
         self.matrix = matrix
 
-    def apply(self, vec):
-        return self.matrix @ vec
+    def apply(self, vec, out=None):
+        return np.matmul(self.matrix, vec, out=out)
 
 
 class TestDenseEigh:

@@ -128,11 +128,11 @@ class TestIsingOperator:
         assert np.array_equal(vec, kept)
         assert not np.shares_memory(out, vec)
 
-    def test_apply_is_the_two_part_formula_bit_for_bit(self, rng):
+    def test_apply_is_the_two_part_formula(self, rng):
         # The diagonal multiplies the float64 view in one pass: each real and
-        # imaginary part must get the product it gets on its own. With h_z = J
-        # = 0 the diagonal term is zero, and with h_x = 0 the flip term is, so
-        # each of the two terms comes out alone and exactly.
+        # imaginary part must get the product it gets on its own. With h_x = 0
+        # the flip term is zero, so the diagonal term comes out alone and
+        # exactly; with h_z = J = 0 the flip term comes out alone.
         n, h_x = 12, 0.7
         vec = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
         flips = ising_operator(IsingParams(n, J=0.0, h_x=h_x, h_z=0.0)).apply(vec)
@@ -140,9 +140,12 @@ class TestIsingOperator:
         expected = np.empty_like(vec)
         np.multiply(vec.real, diag, out=expected.real)
         np.multiply(vec.imag, diag, out=expected.imag)
+        alone = ising_operator(IsingParams(n, h_x=0.0)).apply(vec)
+        assert np.array_equal(alone.view(np.float64), expected.view(np.float64))
         expected += flips
         out = ising_operator(IsingParams(n, h_x=h_x)).apply(vec)
-        assert np.array_equal(out.view(np.float64), expected.view(np.float64))
+        # The terms are summed in another order: the diagonal first, then one group at a time.
+        assert np.abs(out - expected).max() <= 1e-14 * np.abs(expected).max()
 
     def test_apply_peak_memory(self, rng):
         ham = ising_operator(IsingParams(12))
@@ -381,3 +384,62 @@ class TestRandomState:
     def test_dimension_check(self):
         with pytest.raises(ValueError, match=">= 1"):
             random_state(0, 1)
+
+
+def contract_operator(model: str, n: int, h_x: float = 1.0):
+    """A package operator with its dense matrix: the Kronecker oracle for Ising, the sample for GOE and GUE."""
+    if model == "ising":
+        params = IsingParams(n, h_x=h_x)
+        return ising_operator(params), ising_dense_oracle(params)
+    op = {"goe": goe_sample, "gue": gue_sample}[model](n, 3)
+    return op, op.matrix
+
+
+# Ising at every group layout from one lone low group (n <= 3) to 3,4,4,1
+# (n = 12), including a lone top bit with no middle group (n = 4); GOE is
+# applied in real arithmetic, GUE in complex.
+ISING_CASES = [("ising", n, h_x) for n in range(2, 13) for h_x in (1.0, 0.7, 0.0)]
+DENSE_CASES = [("goe", 64), ("gue", 64)]
+
+
+def case_id(case) -> str:
+    return "-".join(map(str, case))
+
+
+class TestApplyContract:
+    """``apply(vec, out=row)`` writes ``H vec`` into ``row`` alone and returns it; a bad ``out`` raises."""
+
+    @pytest.mark.parametrize("case", ISING_CASES + DENSE_CASES, ids=case_id)
+    def test_apply_into_a_buffer_row(self, case, rng):
+        op, matrix = contract_operator(*case)
+        vec = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
+        buffer = np.full((3, op.dim), np.nan, dtype=complex)
+        buffer[0] = vec
+        row = buffer[1]
+        assert op.apply(buffer[0], out=row) is row
+        assert np.array_equal(buffer[0], vec) and np.isnan(buffer[2]).all()
+        expected = matrix @ vec
+        scale = np.abs(expected).max()
+        assert np.abs(row - expected).max() <= 1e-13 * scale
+        assert np.abs(row - op.apply(vec)).max() <= 1e-13 * scale
+
+    @pytest.mark.parametrize("case", [("ising", 4), ("ising", 12)] + DENSE_CASES, ids=case_id)
+    def test_bad_out_raises(self, case):
+        op, _ = contract_operator(*case)
+        vec = np.ones(op.dim, dtype=complex)
+        read_only = np.zeros(op.dim, dtype=complex)
+        read_only.flags.writeable = False
+        bad = [
+            np.zeros(op.dim + 1, dtype=complex),  # shape
+            np.zeros(op.dim),  # dtype
+            np.zeros((op.dim, 2), dtype=complex)[:, 0],  # order: a strided column
+            read_only,
+        ]
+        for out in bad:
+            with pytest.raises(ValueError, match="out must be"):
+                op.apply(vec, out=out)
+        with pytest.raises(ValueError, match="share memory"):
+            op.apply(vec, out=vec)
+        overlapping = np.zeros(op.dim + 1, dtype=complex)
+        with pytest.raises(ValueError, match="share memory"):
+            op.apply(overlapping[1:], out=overlapping[:-1])

@@ -375,9 +375,9 @@ class TestEvolveAdaptive:
         calls = []
         original = IsingOperator.apply
 
-        def counted(self, vec):
+        def counted(self, vec, out=None):
             calls.append(1)
-            return original(self, vec)
+            return original(self, vec, out)
 
         monkeypatch.setattr(IsingOperator, "apply", counted)
         ham = ising_operator(IsingParams(10))
@@ -385,6 +385,23 @@ class TestEvolveAdaptive:
         report = evolve_adaptive(ham, random_state(ham.dim, 1), 20.0, 1e-8, n_krylov)
         assert len(report.steps) >= 2
         assert len(calls) == (n_krylov + 1) * len(report.steps)
+
+    def test_work_counts_are_pinned(self, monkeypatch):
+        # Ising n=12, N=30, t=10, state seed 1. The counts belong to the
+        # algorithm (the recurrence, the overlap gate, the step search), so a
+        # change to the kernels under it, such as how an apply or a
+        # Gram-Schmidt pass is computed, must leave them as they are.
+        calls = []
+        original = IsingOperator.apply
+
+        def counted(self, vec, out=None):
+            calls.append(1)
+            return original(self, vec, out)
+
+        monkeypatch.setattr(IsingOperator, "apply", counted)
+        ham = ising_operator(IsingParams(12))
+        report = evolve_adaptive(ham, random_state(ham.dim, 1), 10.0, 1e-8, 30)
+        assert (len(calls), len(report.steps)) == (310, 10)
 
 
 class TestOneBuffer:
