@@ -11,17 +11,18 @@ has succeeded, within ``linalg.MAX_DENSE_DIM``, which is not an option.
 Each option is declared once, as a field of ``ExperimentConfig``, and the
 parser is built from those fields. Values come from an optional flat
 ``key=value`` file plus command-line overrides, and ``_coerce`` parses every
-one of them. Every CSV opens with ``#`` lines: the command, every option it
-reads except ``out`` with the value that ran, as ``_coerce`` reads it
-(``evolve`` names its clamped basis size, its one estimator and the state
-path written), then its results: the CSV is self-describing, and its option
-lines are a config file.
+one of them. ``ExperimentConfig.validate`` checks the request before any
+model is built and returns it resolved; a subcommand runs it as it is. Every
+CSV opens with ``#`` lines: the command, every option it reads except
+``out`` with its resolved value, as ``_coerce`` reads it, then its results:
+the CSV is self-describing, and its option lines are a config file.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 import typing
 from dataclasses import astuple, dataclass, field, fields, replace
@@ -128,7 +129,12 @@ class ExperimentConfig:
     out: str = _option("out.csv", help="output CSV path")
     state_out: str = _option("", help="final state path (KRYV1)", commands=("evolve",))
 
-    def validate(self) -> None:
+    def validate(self) -> ExperimentConfig:
+        """Check every option and return the config that runs.
+
+        For the commands reading each: ``krylov_n`` clamped to the model dimension, the
+        ``profile_m``, ``n_prime`` and ``state_out`` defaults, and ``evolve``'s first estimator.
+        """
         if self.model not in MODELS:
             raise ValueError(f"unknown model {self.model!r}; expected one of {MODELS}")
         if self.points < 2:
@@ -147,6 +153,25 @@ class ExperimentConfig:
                 raise ValueError(
                     f"unknown estimator {name!r}; expected one of {ESTIMATOR_NAMES}"
                 )
+        resolved = {}
+        if self.command in _MODEL:
+            dim = IsingParams(self.n).dim if self.model == "ising" else self.n
+            resolved["krylov_n"] = krylov_n = min(self.krylov_n, dim)
+        if self.command == "snapshots":
+            if not self.times:
+                raise ValueError("snapshots needs --times (comma-separated list)")
+            profile_m = self.profile_m or min(2 * krylov_n, dim)
+            if not krylov_n <= profile_m <= dim:
+                raise ValueError(f"profile_m {profile_m} must lie in [krylov_n {krylov_n}, dim {dim}]")
+            resolved["profile_m"] = profile_m
+        if self.command == "toeplitz":
+            resolved["n_prime"] = self.n_prime or self.n + 1
+        if self.command == "evolve":
+            state_out = self.state_out or f"{self.out}.kryv"
+            if os.path.realpath(state_out) == os.path.realpath(self.out):
+                raise ValueError(f"state_out {state_out!r} names the same file as out")
+            resolved.update(estimators=self.estimators[:1], state_out=state_out)
+        return replace(self, **resolved)
 
 
 # Looked up once: resolving the annotations per value costs more than the parse.
@@ -217,18 +242,17 @@ def build_model(cfg: ExperimentConfig) -> tuple[LinearOperator, np.ndarray]:
     A dense model (goe, gue, toeplitz) above ``MAX_DENSE_DIM`` is refused
     before its matrix is drawn or filled.
     """
-    params = IsingParams(cfg.n, J=cfg.J, h_x=cfg.h_x, h_z=cfg.h_z) if cfg.model == "ising" else None
-    dim = cfg.n if params is None else params.dim
-    if params is None and dim > MAX_DENSE_DIM:
-        raise ValueError(f"{cfg.model} dimension {dim} exceeds cap {MAX_DENSE_DIM}")
     if cfg.model == "ising":
-        return ising_operator(params), random_state(dim, cfg.seed)
+        params = IsingParams(cfg.n, J=cfg.J, h_x=cfg.h_x, h_z=cfg.h_z)
+        return ising_operator(params), random_state(params.dim, cfg.seed)
+    if cfg.n > MAX_DENSE_DIM:
+        raise ValueError(f"{cfg.model} dimension {cfg.n} exceeds cap {MAX_DENSE_DIM}")
     if cfg.model == "goe":
-        return goe_sample(dim, cfg.seed), random_state(dim, cfg.seed + STATE_SEED_OFFSET)
+        return goe_sample(cfg.n, cfg.seed), random_state(cfg.n, cfg.seed + STATE_SEED_OFFSET)
     if cfg.model == "gue":
-        return gue_sample(dim, cfg.seed), random_state(dim, cfg.seed + STATE_SEED_OFFSET)
+        return gue_sample(cfg.n, cfg.seed), random_state(cfg.n, cfg.seed + STATE_SEED_OFFSET)
     if cfg.model == "toeplitz":
-        return DenseOperator(_homogeneous(dim, cfg).to_dense()), basis_state(dim)
+        return DenseOperator(_homogeneous(cfg.n, cfg).to_dense()), basis_state(cfg.n)
     raise ValueError(f"unknown model {cfg.model!r}")
 
 
@@ -302,7 +326,6 @@ def _grid(cfg: ExperimentConfig) -> np.ndarray:
 def cmd_regimes(cfg: ExperimentConfig) -> None:
     """Echo and true error across a time grid, with measured regime times."""
     hamiltonian, psi = build_model(cfg)
-    cfg = replace(cfg, krylov_n=min(cfg.krylov_n, hamiltonian.dim))
     basis = lanczos_iterate(hamiltonian, psi, cfg.krylov_n)
     ts = _grid(cfg)
     errors = oracle_infidelities(basis, hamiltonian, ts)
@@ -314,18 +337,9 @@ def cmd_regimes(cfg: ExperimentConfig) -> None:
 
 def cmd_snapshots(cfg: ExperimentConfig) -> None:
     """Exact vs Krylov wave-packet profiles on the chain at requested times."""
-    if not cfg.times:
-        raise ValueError("snapshots needs --times (comma-separated list)")
     hamiltonian, psi = build_model(cfg)
-    krylov_n = min(cfg.krylov_n, hamiltonian.dim)
-    profile_m = cfg.profile_m or min(2 * krylov_n, hamiltonian.dim)
-    if not krylov_n <= profile_m <= hamiltonian.dim:
-        raise ValueError(
-            f"profile_m {profile_m} must lie in [krylov_n {krylov_n}, dim {hamiltonian.dim}]"
-        )
-    cfg = replace(cfg, krylov_n=krylov_n, profile_m=profile_m)
-    basis = lanczos_iterate(hamiltonian, psi, profile_m)
-    reduced = basis.tridiag.prefix(min(krylov_n, basis.size))
+    basis = lanczos_iterate(hamiltonian, psi, cfg.profile_m)
+    reduced = basis.tridiag.prefix(min(cfg.krylov_n, basis.size))
     times = np.asarray(cfg.times, dtype=float)
     pop_krylov = np.zeros((times.size, basis.size))
     pop_krylov[:, : reduced.n] = np.abs(_end_states(reduced.eigen(), times)) ** 2
@@ -343,7 +357,6 @@ def cmd_snapshots(cfg: ExperimentConfig) -> None:
 def cmd_bounds(cfg: ExperimentConfig) -> None:
     """Cheap estimators against the oracle error, with per-time ratios."""
     hamiltonian, psi = build_model(cfg)
-    cfg = replace(cfg, krylov_n=min(cfg.krylov_n, hamiltonian.dim))
     basis = lanczos_iterate(hamiltonian, psi, cfg.krylov_n)
     estimator_fns = [bind_estimator(name, basis, hamiltonian) for name in cfg.estimators]
     ts = _grid(cfg)
@@ -366,7 +379,6 @@ def cmd_bounds(cfg: ExperimentConfig) -> None:
 
 def cmd_toeplitz(cfg: ExperimentConfig) -> None:
     """Closed-form vs numerically propagated homogeneous-chain echo."""
-    cfg = replace(cfg, n_prime=cfg.n_prime or cfg.n + 1)
     ts = _grid(cfg)
     analytic = np.abs(toeplitz_echo(cfg.n, cfg.n_prime, cfg.alpha, cfg.beta, ts)) ** 2
     numeric = np.abs(echo_general(_homogeneous(cfg.n, cfg), _homogeneous(cfg.n_prime, cfg), ts)) ** 2
@@ -378,12 +390,6 @@ def cmd_evolve(cfg: ExperimentConfig) -> None:
     """Adaptive evolution: step log CSV plus the final state as a KRYV1 file."""
     hamiltonian, psi = build_model(cfg)
     report = evolve_adaptive(hamiltonian, psi, cfg.t_final, cfg.tol, cfg.krylov_n, kind=cfg.estimators[0])
-    # Echo what ran: the basis size (evolve_adaptive checks the requested
-    # one), the one estimator and the state path written.
-    cfg = replace(
-        cfg, krylov_n=min(cfg.krylov_n, hamiltonian.dim), estimators=cfg.estimators[:1],
-        state_out=cfg.state_out or f"{cfg.out}.kryv",
-    )
     write_state(cfg.state_out, report.final_state)
     results = [
         f"total_estimated_error={_fmt(report.total_estimated_error)}",
@@ -427,7 +433,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    """Merge defaults, config file and flags (in that order), each value parsed by ``_coerce``."""
+    """Merge defaults, config file and flags (in that order), each parsed by ``_coerce``, and validate."""
     cfg = ExperimentConfig(command=args.command)
     if args.config:
         cfg = replace(cfg, **load_config_file(args.config))
@@ -436,9 +442,7 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         raw = getattr(args, f.name, None)
         if raw is not None:
             overrides[f.name] = _coerce(f.name, raw if isinstance(raw, str) else ",".join(raw))
-    cfg = replace(cfg, **overrides)
-    cfg.validate()
-    return cfg
+    return replace(cfg, **overrides).validate()
 
 
 def main(argv=None) -> int:

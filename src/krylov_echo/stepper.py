@@ -140,13 +140,15 @@ def evolve_adaptive(
     its error amplitude fits the unspent amplitude spread over the remaining
     time, advances, and renormalizes. A breakdown basis means the subspace
     is invariant: its estimate is exactly zero, so the remaining time is
-    covered in one exact step. Deterministic for fixed inputs.
+    covered in one exact step. ``n_krylov`` must be at least 2, the smallest
+    basis with an error estimate, unless it spans the whole space (D = 1).
+    Deterministic for fixed inputs.
     """
     if not 0.0 < tol < 1.0:
         raise ValueError("tol must be in (0, 1)")
     if not 0.0 < t_final < np.inf:
         raise ValueError("t_final must be positive and finite")
-    if n_krylov < 2:
+    if n_krylov < min(2, hamiltonian.dim):
         raise ValueError(f"n_krylov must be >= 2 for an error estimate, got {n_krylov}")
     if kind not in ESTIMATOR_NAMES:
         raise ValueError(f"unknown estimator {kind!r}; expected one of {ESTIMATOR_NAMES}")

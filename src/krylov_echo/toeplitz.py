@@ -14,12 +14,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import TridiagonalEigen, _over_chains, _overlaps
+from .linalg import MAX_DENSE_DIM, TridiagonalEigen, _over_chains, _overlaps
 
 __all__ = ["toeplitz_echo"]
 
 
-@lru_cache(maxsize=64)
+# Four sizes serve the CLI: the toeplitz sweep's (n, n+1) and the
+# toeplitz_analytic estimator's (N, N+1). Each entry is an n x n array.
+@lru_cache(maxsize=4)
 def _sine_modes(n_sites: int) -> np.ndarray:
     # sqrt(2/(N+1)) sin(n k pi / (N+1)) with 1-based site rows n and mode columns k.
     idx = np.arange(1, n_sites + 1)
@@ -37,10 +39,13 @@ def toeplitz_echo(n_sites: int, n_prime: int, alpha: float, beta: float, t):
 
     Evaluated as ``sum_n S^N_{n,1}(t) S^{N'}_{1,n}(-t)``, with
     ``S^N(t) = exp(+i T_N t)``, over the shared sites, entirely from the
-    closed-form eigenpairs. ``alpha`` and ``beta`` must be finite.
+    closed-form eigenpairs. ``alpha`` and ``beta`` must be finite, and each
+    chain size within ``MAX_DENSE_DIM``: its sine modes form a dense matrix.
     """
     if n_sites < 1 or n_prime < 1:
         raise ValueError("chain sizes must be >= 1")
+    if max(n_sites, n_prime) > MAX_DENSE_DIM:
+        raise ValueError(f"chain sizes {n_sites}, {n_prime} exceed cap {MAX_DENSE_DIM}")
     if not np.isfinite([alpha, beta]).all():
         raise ValueError(f"alpha={alpha} and beta={beta} must be finite")
     chains = (_toeplitz_eigen(n_sites, alpha, beta), _toeplitz_eigen(n_prime, alpha, beta))

@@ -52,6 +52,16 @@ def column(header, rows, name, dtype=float):
     return np.array([dtype(row[idx]) for row in rows])
 
 
+@pytest.fixture
+def no_model_build(monkeypatch):
+    """Fail the test if the command builds its model."""
+
+    def never(cfg):
+        raise AssertionError("the model was built for a refused request")
+
+    monkeypatch.setattr(cli, "build_model", never)
+
+
 class TestConfigHandling:
     def test_file_parsing(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
@@ -194,6 +204,37 @@ class TestConfigHandling:
         assert main(f"{args} --out {out}".split()) == 1
         assert "finite" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "given, resolved",
+        [
+            (dict(command="regimes", model="ising", n=4), {"krylov_n": 16}),
+            (dict(command="bounds", model="goe", n=20, krylov_n=8), {"krylov_n": 8}),
+            (
+                dict(command="snapshots", model="ising", n=4, times=(1.0,)),
+                {"krylov_n": 16, "profile_m": 16},
+            ),
+            (
+                dict(command="snapshots", model="gue", n=40, krylov_n=6, times=(1.0,)),
+                {"krylov_n": 6, "profile_m": 12},
+            ),
+            # toeplitz reads no model: its n is a chain size, not a spin count.
+            (dict(command="toeplitz", n=1), {"n_prime": 2, "krylov_n": 30}),
+            (dict(command="toeplitz", n=10, n_prime=13), {"n_prime": 13}),
+            (
+                dict(command="evolve", model="toeplitz", n=1, out="run.csv",
+                     estimators=("park_light", "extra_site_exact")),
+                {"krylov_n": 1, "estimators": ("park_light",), "state_out": "run.csv.kryv"},
+            ),
+            (dict(command="evolve", state_out="final.kryv"), {"state_out": "final.kryv"}),
+        ],
+    )
+    def test_validate_returns_the_resolved_request(self, given, resolved):
+        cfg = ExperimentConfig(**given)
+        ran = cfg.validate()
+        assert {key: getattr(ran, key) for key in resolved} == resolved
+        assert ran.validate() == ran
+        assert cfg == ExperimentConfig(**given)
 
     @pytest.mark.parametrize("key", ["alpha", "beta"])
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
@@ -452,6 +493,21 @@ class TestSnapshotsCommand:
         )
         assert rc == 1
         assert "profile_m" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ("--profile-m 5000 --times 1", "profile_m 5000 must lie in [krylov_n 30, dim 2048]"),
+            ("", "snapshots needs --times (comma-separated list)"),
+        ],
+        ids=["profile_m", "times"],
+    )
+    @pytest.mark.usefixtures("no_model_build")
+    def test_refused_before_the_model_is_built(self, tmp_path, capsys, args, message):
+        out = tmp_path / "x.csv"
+        assert main(f"snapshots --model goe --n 2048 {args} --out {out}".split()) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_default_krylov_n_clamped_to_dimension(self, tmp_path):
         # The default krylov_n of 30 exceeds dim 16: it spans the whole space,
@@ -738,6 +794,29 @@ class TestEvolveCommand:
         comments, header, rows = read_csv(out)
         assert comments["krylov_n"] == "4"
         assert column(header, rows, "basis_size").max() == 4
+
+    def test_one_site_chain_runs_on_a_basis_of_one(self, tmp_path):
+        # The clamped size 1 spans the one-site space; a requested 1 that
+        # does not span the space is still refused.
+        out = tmp_path / "evolve.csv"
+        assert main(f"evolve --model toeplitz --n 1 --out {out}".split()) == 0
+        comments, header, rows = read_csv(out)
+        assert comments["krylov_n"] == "1"
+        assert column(header, rows, "basis_size").tolist() == [1]
+        assert main(f"evolve --krylov-n 1 --t-final 1 --out {tmp_path / 'one.csv'}".split()) == 1
+
+    @pytest.mark.parametrize("state_out", ["same.csv", "sub/../same.csv", "link.csv"])
+    @pytest.mark.usefixtures("no_model_build")
+    def test_state_out_naming_the_csv_is_refused_before_any_work(
+        self, tmp_path, monkeypatch, capsys, state_out
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "link.csv").symlink_to(tmp_path / "same.csv")
+        args = f"evolve --model ising --n 4 --t-final 1 --out same.csv --state-out {state_out}"
+        assert main(args.split()) == 1
+        assert f"state_out {state_out!r} names the same file as out" in capsys.readouterr().err
+        assert not (tmp_path / "same.csv").exists()
 
     def test_infidelity_bound_line(self, tmp_path):
         out = tmp_path / "evolve.csv"

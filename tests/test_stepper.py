@@ -312,6 +312,15 @@ class TestEvolveAdaptive:
         with pytest.raises(ValueError, match="n_krylov"):
             evolve_adaptive(ham, psi, 1.0, 1e-8, 1, kind=kind)
 
+    def test_one_dimensional_space_needs_no_second_vector(self):
+        # A basis of one vector spans a one-dimensional space: one exact step.
+        ham = DenseOperator(np.array([[0.7]]))
+        report = evolve_adaptive(ham, basis_state(1), 5.0, 1e-8, 1)
+        assert [(step.dt, step.basis_size, step.estimated_error) for step in report.steps] == [
+            (5.0, 1, 0.0)
+        ]
+        assert report.final_state[0] == pytest.approx(np.exp(-3.5j), abs=1e-14)
+
     @pytest.mark.parametrize("kind", ESTIMATOR_NAMES)
     def test_infidelity_bound_holds(self, kind):
         # Per-step error amplitudes can add coherently, so the sum of the

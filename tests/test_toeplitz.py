@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from krylov_echo import toeplitz
 from krylov_echo.estimators import echo_general
 from krylov_echo.linalg import SymmetricTridiagonal, _end_states, basis_state, eig_sym_tridiagonal
 from krylov_echo.toeplitz import _toeplitz_eigen, toeplitz_echo
@@ -86,6 +87,25 @@ class TestEcho:
     def test_chain_size_below_one_rejected(self, n_sites, n_prime):
         with pytest.raises(ValueError, match="chain sizes must be >= 1"):
             toeplitz_echo(n_sites, n_prime, 0.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("n_sites, n_prime", [(9, 8), (8, 9), (9, 9)])
+    def test_chain_size_above_the_dense_cap_rejected_before_any_array(
+        self, monkeypatch, n_sites, n_prime
+    ):
+        # The cap is inclusive: two chains of MAX_DENSE_DIM sites run.
+        monkeypatch.setattr(toeplitz, "MAX_DENSE_DIM", 8)
+        assert abs(toeplitz_echo(8, 8, 0.0, 1.0, 1.0)) == pytest.approx(1.0, abs=1e-12)
+
+        def never(*args):
+            raise AssertionError("a chain above the cap was formed")
+
+        monkeypatch.setattr(toeplitz, "_toeplitz_eigen", never)
+        with pytest.raises(ValueError, match=f"chain sizes {n_sites}, {n_prime} exceed cap 8"):
+            toeplitz_echo(n_sites, n_prime, 0.0, 1.0, 1.0)
+
+    def test_sine_mode_cache_holds_four_sizes(self):
+        # The toeplitz sweep's (n, n+1) and the toeplitz_analytic estimator's (N, N+1).
+        assert toeplitz._sine_modes.cache_info().maxsize == 4
 
     @pytest.mark.parametrize(
         "alpha, beta", [(np.nan, 1.0), (0.0, np.nan), (np.inf, 1.0), (0.0, -np.inf)]
