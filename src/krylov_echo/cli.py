@@ -154,7 +154,17 @@ class ExperimentConfig:
                     f"unknown estimator {name!r}; expected one of {ESTIMATOR_NAMES}"
                 )
         resolved = {}
+        if self.command == "evolve":
+            # evolve_adaptive's own checks, made before the model is built.
+            if not 0.0 < self.tol < 1.0:
+                raise ValueError("tol must be in (0, 1)")
+            if not 0.0 < self.t_final < np.inf:
+                raise ValueError("t_final must be positive and finite")
         if self.command in _MODEL:
+            if self.krylov_n < 1:
+                raise ValueError(f"krylov_n must be >= 1, got {self.krylov_n}")
+            if self.seed < 0:
+                raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
             dim = IsingParams(self.n).dim if self.model == "ising" else self.n
             resolved["krylov_n"] = krylov_n = min(self.krylov_n, dim)
         if self.command == "snapshots":

@@ -1,8 +1,8 @@
 """Adaptive evolution driver: restarted Krylov steps sized by cheap estimators.
 
 Long evolutions are followed as a sequence of patches: build a basis, take
-the longest step the estimator allows (about four array calls of ``eps``),
-map back, restart. Step errors can add coherently, so the budget is spent in
+the longest step the estimator allows (at most three array calls of
+``eps``), map back, restart. Step errors can add coherently, so the budget is spent in
 amplitude: each step takes the largest ``dt`` with ``eps(dt) <= (r dt)^2``,
 ``r = (sqrt(tol) - sum sqrt(eps_k)) / t_remaining``. ``r`` never decreases,
 so the reported ``infidelity_bound = (sum sqrt(eps_k))^2`` stays within ``tol``.
@@ -36,8 +36,6 @@ MIN_STEP = 1e-6
 BISECT_RTOL = 1e-3
 # Ways each refinement call splits the bracket: five bisection halvings.
 _SPLITS = 32
-# Accepted steps back off from the measured crossing by this factor.
-SAFETY = 0.9
 
 
 class BudgetUnreachableError(ValueError):
@@ -65,16 +63,14 @@ class EvolutionReport:
     infidelity_bound: float
 
 
-def _unreachable(what: str) -> BudgetUnreachableError:
-    return BudgetUnreachableError(f"{what}; increase the basis size or the tolerance")
-
-
 def _max_step(eps: Callable, budget: Callable, t_cap: float) -> tuple[float, float]:
-    """Largest step with ``eps(dt) <= budget(dt)``, and its ``eps``, in about four array calls.
+    """Largest step with ``eps(dt) <= budget(dt)``, and its ``eps``, in at most three array calls.
 
     One call on the doubling grid ``MIN_STEP 2^k`` (capped at ``t_cap``)
     brackets the first crossing; each call on a ``_SPLITS``-way split at the
-    bisection midpoints narrows it, and two reach ``BISECT_RTOL``.
+    bisection midpoints narrows it, and two reach ``BISECT_RTOL``. The step
+    is the bracket's lower end, a point some call found within budget, so
+    its recorded ``eps`` is the value that call returned there.
     """
     grid = [min(MIN_STEP, t_cap)]
     while grid[-1] < t_cap:
@@ -83,22 +79,20 @@ def _max_step(eps: Callable, budget: Callable, t_cap: float) -> tuple[float, flo
     values = eps(grid)
     over = values > budget(grid)
     if over[0]:
-        raise _unreachable(f"estimated error at the minimum step {MIN_STEP} already exceeds its budget")
+        raise BudgetUnreachableError(
+            f"estimated error at the minimum step {MIN_STEP} already exceeds its budget;"
+            " increase the basis size or the tolerance"
+        )
     if not over.any():
         return t_cap, float(values[-1])
-    low, high = grid[over.argmax() - 1], grid[over.argmax()]
+    first = over.argmax()
+    low, high, estimate = grid[first - 1], grid[first], values[first - 1]
     while high - low > BISECT_RTOL * low:
         edges = np.linspace(low, high, _SPLITS + 1)
-        first = np.append(eps(edges[1:-1]) > budget(edges[1:-1]), True).argmax()
-        low, high = edges[first], edges[first + 1]
-    # Back off, then verify: the recorded estimate must sit inside budget
-    # even if the estimator is not locally monotone.
-    dt = SAFETY * float(low)
-    while (estimate := float(eps(dt))) > budget(dt):
-        if dt <= MIN_STEP:
-            raise _unreachable(f"no step above {MIN_STEP} satisfies its budget")
-        dt *= SAFETY
-    return dt, estimate
+        values = np.append(estimate, eps(edges[1:-1]))
+        first = np.append(values[1:] > budget(edges[1:-1]), True).argmax()
+        low, high, estimate = edges[first], edges[first + 1], values[first]
+    return float(low), float(estimate)
 
 
 def max_step_for_tolerance(

@@ -236,6 +236,46 @@ class TestConfigHandling:
         assert ran.validate() == ran
         assert cfg == ExperimentConfig(**given)
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            "evolve --tol 2",
+            "evolve --tol 0",
+            "evolve --tol nan",
+            "evolve --t-final 0",
+            "evolve --t-final inf",
+            "evolve --t-final nan",
+            "regimes --krylov-n 0",
+            "bounds --krylov-n -3",
+            "snapshots --krylov-n 0 --times 1",
+            "evolve --krylov-n 0",
+            "regimes --seed -1",
+            "bounds --seed -1",
+            "snapshots --seed -1 --times 1",
+            "evolve --seed -1",
+        ],
+    )
+    @pytest.mark.usefixtures("no_model_build")
+    def test_library_refusal_made_before_the_model_is_built(self, tmp_path, capsys, args):
+        command, flag, value = args.split()[:3]
+        message = {
+            "--tol": "tol must be in (0, 1)",
+            "--t-final": "t_final must be positive and finite",
+            "--krylov-n": f"krylov_n must be >= 1, got {value}",
+            "--seed": f"seed must be a non-negative integer, got {value}",
+        }[flag]
+        out = tmp_path / "never.csv"
+        assert main(f"{args} --model goe --n 4096 --out {out}".split()) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_options_a_command_does_not_read_are_not_checked(self, tmp_path):
+        # A config file may set any field; toeplitz reads none of these.
+        cfg_file = tmp_path / "other.cfg"
+        cfg_file.write_text("tol=2\nt_final=0\nkrylov_n=0\nseed=-1\n")
+        out = tmp_path / "t.csv"
+        assert main(f"toeplitz --config {cfg_file} --n 10 --points 5 --t-max 5 --out {out}".split()) == 0
+
     @pytest.mark.parametrize("key", ["alpha", "beta"])
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_non_finite_chain_coefficient_named(self, tmp_path, capsys, key, bad):
